@@ -5,8 +5,6 @@
 // right default for drop probabilities.
 #include "bench_util.hpp"
 
-#include <memory>
-
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/units.hpp"
@@ -17,10 +15,9 @@ namespace {
 using namespace analognf;
 
 sim::SimReport RunWithCombiner(core::CombineMode mode, std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            seed);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 1800.0;
+  net::PacketGenerator gen(gc, seed);
   aqm::AnalogAqmConfig ac;
   ac.combine = mode;
   aqm::AnalogAqm policy(ac);

@@ -11,7 +11,6 @@
 #include "bench_util.hpp"
 
 #include <cmath>
-#include <memory>
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/common/stats.hpp"
@@ -51,10 +50,9 @@ double TransferRmsError(const analog::ChannelParams& channel,
 
 double DelayConformance(const analog::ChannelParams& channel,
                         std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            seed);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 1800.0;
+  net::PacketGenerator gen(gc, seed);
   aqm::AnalogAqmConfig ac;
   ac.hardware.channel = channel;
   aqm::AnalogAqm policy(ac);

@@ -26,11 +26,10 @@ sim::QueueSimConfig Fig8Config() {
   return c;
 }
 
-std::unique_ptr<net::PoissonGenerator> Fig8Traffic(std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 800.0;  // pre-congestion load
-  return std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), seed);
+std::unique_ptr<net::PacketGenerator> Fig8Traffic(std::uint64_t seed) {
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 800.0;  // pre-congestion load
+  return std::make_unique<net::PacketGenerator>(gc, seed);
 }
 
 sim::SimReport Run(bool with_aqm) {
@@ -38,11 +37,11 @@ sim::SimReport Run(bool with_aqm) {
   const sim::QueueSimConfig config = Fig8Config();
   if (with_aqm) {
     aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-    sim::QueueSimulator s(config, *gen, policy, nullptr, gen.get());
+    sim::QueueSimulator s(config, *gen, policy);
     return s.Run();
   }
   aqm::TailDropOnly policy;
-  sim::QueueSimulator s(config, *gen, policy, nullptr, gen.get());
+  sim::QueueSimulator s(config, *gen, policy);
   return s.Run();
 }
 

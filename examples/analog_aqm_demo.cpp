@@ -31,10 +31,9 @@ int main(int argc, char** argv) {
   }
 
   // Traffic: Poisson flows, as in Sec. 6.
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = offered_pps;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), /*seed=*/2023);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = offered_pps;
+  auto gen = std::make_unique<net::PacketGenerator>(gc, /*seed=*/2023);
 
   // The analog AQM, programmed for the requested latency bound.
   aqm::AnalogAqmConfig ac;

@@ -7,7 +7,6 @@
 // The analog match degree doubles as the classification confidence.
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "analognf/cognitive/classifier.hpp"
@@ -17,35 +16,46 @@ using namespace analognf;
 
 int main() {
   // --- Ground-truth traffic mix ----------------------------------------
+  // One single-flow generator per source; the seed picks the flow hash.
   struct Source {
     const char* truth;
-    std::unique_ptr<net::TrafficGenerator> gen;
+    net::PacketGenerator gen;
+  };
+  const auto single_flow = [](net::ArrivalConfig arrivals,
+                              std::uint32_t bytes) {
+    net::PacketGenerator::Config c;
+    c.arrivals = arrivals;
+    c.flows = 1;
+    c.fixed_size_bytes = bytes;
+    return c;
   };
   std::vector<Source> sources;
-  // Four VoIP-like CBR flows: 160-byte frames every 20 ms.
-  for (int i = 0; i < 4; ++i) {
-    sources.push_back(
-        {"voip", std::make_unique<net::CbrGenerator>(
-                     50.0, 160, /*flow_hash=*/0x100 + i)});
+  // Four VoIP-like constant-rate flows: 160-byte frames every 20 ms.
+  net::ArrivalConfig voip;
+  voip.process = net::ArrivalConfig::Process::kConstant;
+  voip.rate_pps = 50.0;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    sources.push_back({"voip", net::PacketGenerator(single_flow(voip, 160),
+                                                    /*seed=*/0x100 + i)});
   }
   // Three bulk flows: 1500-byte segments, steady 800 pps.
-  for (int i = 0; i < 3; ++i) {
-    sources.push_back(
-        {"bulk", std::make_unique<net::CbrGenerator>(
-                     800.0, 1500, /*flow_hash=*/0x200 + i)});
+  net::ArrivalConfig bulk;
+  bulk.process = net::ArrivalConfig::Process::kConstant;
+  bulk.rate_pps = 800.0;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    sources.push_back({"bulk", net::PacketGenerator(single_flow(bulk, 1500),
+                                                    /*seed=*/0x200 + i)});
   }
-  // Three bursty video flows (MMPP, one flow each).
-  for (int i = 0; i < 3; ++i) {
-    net::MmppGenerator::Config mc;
-    mc.calm_rate_pps = 30.0;
-    mc.burst_rate_pps = 900.0;
-    mc.mean_calm_dwell_s = 0.2;
-    mc.mean_burst_dwell_s = 0.05;
-    mc.flows = 1;
-    sources.push_back(
-        {"video", std::make_unique<net::MmppGenerator>(
-                      mc, std::make_unique<net::FixedSize>(1200),
-                      /*seed=*/900 + static_cast<std::uint64_t>(i))});
+  // Three bursty video flows (MMPP): 30 pps calm, 900 pps bursts.
+  net::ArrivalConfig video;
+  video.process = net::ArrivalConfig::Process::kMmpp;
+  video.rate_pps = 30.0;
+  video.burst_factor = 30.0;
+  video.mean_calm_dwell_s = 0.2;
+  video.mean_burst_dwell_s = 0.05;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    sources.push_back({"video", net::PacketGenerator(single_flow(video, 1200),
+                                                     /*seed=*/900 + i)});
   }
 
   // --- The cognitive function ------------------------------------------
@@ -61,7 +71,7 @@ int main() {
   std::map<std::uint64_t, const char*> truth;
   for (Source& src : sources) {
     for (int i = 0; i < 1500; ++i) {
-      const net::PacketMeta p = src.gen->Next();
+      const net::PacketMeta p = src.gen.Next();
       if (p.arrival_time_s > 30.0) break;
       truth[p.flow_hash] = src.truth;
       tracker.Observe(p);

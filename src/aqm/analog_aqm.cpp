@@ -8,12 +8,19 @@
 namespace analognf::aqm {
 namespace {
 
-// Stage-name helpers matching the paper's listings.
+// Stage-name helpers matching the paper's listings. Appends instead of
+// `"literal" + std::string`, which gcc 12 misreports at -O3 under
+// -Wrestrict.
 std::string DerivName(const std::string& base, std::size_t order) {
   if (order == 0) return base;
-  if (order == 1) return "d/dt(" + base + ")";
-  return "d" + std::to_string(order) + "/dt" + std::to_string(order) + "(" +
-         base + ")";
+  std::string name = "d";
+  if (order > 1) name += std::to_string(order);
+  name += "/dt";
+  if (order > 1) name += std::to_string(order);
+  name += '(';
+  name += base;
+  name += ')';
+  return name;
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ class LineTopology {
 
   // Runs generated traffic through the line. The generator's packets
   // are materialised as UDP datagrams toward dst_network.
-  TopologyReport Run(net::TrafficGenerator& generator);
+  TopologyReport Run(net::PacketGenerator& generator);
 
   CognitiveSwitch& hop(std::size_t index) { return *switches_.at(index); }
   std::size_t hops() const { return switches_.size(); }

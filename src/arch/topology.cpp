@@ -69,7 +69,7 @@ net::Packet LineTopology::Materialize(const net::PacketMeta& meta) const {
       .Build();
 }
 
-TopologyReport LineTopology::Run(net::TrafficGenerator& generator) {
+TopologyReport LineTopology::Run(net::PacketGenerator& generator) {
   TopologyReport report;
   report.hop_delay.resize(switches_.size());
 

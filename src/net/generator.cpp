@@ -1,224 +1,138 @@
 #include "analognf/net/generator.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace analognf::net {
 namespace {
 
-// Deterministic flow hash for synthetic flow `i` under generator `salt`.
-std::uint64_t SyntheticFlowHash(std::uint64_t salt, std::uint32_t i) {
-  analognf::SplitMix64 sm(salt ^ (0x9e37ULL << 32) ^ i);
-  return sm.Next();
-}
+bool FinitePositive(double x) { return std::isfinite(x) && x > 0.0; }
 
-void BuildFlows(std::uint64_t salt, std::uint32_t flows,
-                double high_priority_fraction, double ecn_capable_fraction,
-                std::vector<std::uint64_t>& hashes,
-                std::vector<std::uint8_t>& priorities,
-                std::vector<bool>& ect) {
-  if (flows == 0) {
-    throw std::invalid_argument("traffic generator: flows == 0");
-  }
-  hashes.reserve(flows);
-  priorities.reserve(flows);
-  ect.reserve(flows);
-  const auto high_count = static_cast<std::uint32_t>(
-      high_priority_fraction * static_cast<double>(flows) + 0.5);
-  const auto ect_count = static_cast<std::uint32_t>(
-      ecn_capable_fraction * static_cast<double>(flows) + 0.5);
-  for (std::uint32_t i = 0; i < flows; ++i) {
-    hashes.push_back(SyntheticFlowHash(salt, i));
-    priorities.push_back(i < high_count ? std::uint8_t{7} : std::uint8_t{0});
-    // ECT flows are counted from the tail so the two traits cross-cut.
-    ect.push_back(flows - 1 - i < ect_count);
-  }
-}
+bool InUnitInterval(double x) { return x >= 0.0 && x <= 1.0; }  // false on NaN
 
 }  // namespace
 
-FixedSize::FixedSize(std::uint32_t bytes) : bytes_(bytes) {
-  if (bytes == 0) throw std::invalid_argument("FixedSize: zero bytes");
-}
-
-std::uint32_t FixedSize::Sample(analognf::RandomStream&) { return bytes_; }
-
-std::uint32_t ImixSize::Sample(analognf::RandomStream& rng) {
+std::uint32_t SamplePacketSize(PacketSizes sizes, std::uint32_t fixed_bytes,
+                               analognf::RandomStream& rng) {
+  if (sizes == PacketSizes::kFixed) return fixed_bytes;
   const std::uint64_t bucket = rng.NextIndex(12);
   if (bucket < 7) return 64;
   if (bucket < 11) return 576;
   return 1500;
 }
 
-PoissonGenerator::PoissonGenerator(Config config,
-                                   std::unique_ptr<SizeModel> sizes,
-                                   std::uint64_t seed)
-    : config_(config), sizes_(std::move(sizes)), rng_(seed) {
-  if (!(config_.rate_pps > 0.0)) {
-    throw std::invalid_argument("PoissonGenerator: rate_pps <= 0");
-  }
-  if (sizes_ == nullptr) {
-    throw std::invalid_argument("PoissonGenerator: null size model");
-  }
-  BuildFlows(seed, config_.flows, config_.high_priority_fraction,
-             config_.ecn_capable_fraction, flow_hashes_, flow_priorities_,
-             flow_ect_);
-}
+// ------------------------------------------------------------- arrivals
 
-PacketMeta PoissonGenerator::Next() {
-  now_s_ += rng_.NextExponential(config_.rate_pps);
-  const auto flow = static_cast<std::size_t>(rng_.NextIndex(config_.flows));
-  PacketMeta p;
-  p.id = next_id_++;
-  p.source_packet_id = p.id;
-  p.arrival_time_s = now_s_;
-  p.size_bytes = sizes_->Sample(rng_);
-  p.flow_hash = flow_hashes_[flow];
-  p.priority = flow_priorities_[flow];
-  p.ecn_capable = flow_ect_[flow];
-  return p;
-}
-
-void PoissonGenerator::SetRate(double rate_pps) {
-  if (!(rate_pps > 0.0)) {
-    throw std::invalid_argument("PoissonGenerator::SetRate: rate <= 0");
+void ArrivalConfig::Validate() const {
+  if (!FinitePositive(rate_pps)) {
+    throw std::invalid_argument("ArrivalConfig: rate_pps not finite and > 0");
   }
-  config_.rate_pps = rate_pps;
-}
-
-CbrGenerator::CbrGenerator(double rate_pps, std::uint32_t size_bytes,
-                           std::uint64_t flow_hash, std::uint8_t priority)
-    : interval_s_(1.0 / rate_pps),
-      size_bytes_(size_bytes),
-      flow_hash_(flow_hash),
-      priority_(priority) {
-  if (!(rate_pps > 0.0)) {
-    throw std::invalid_argument("CbrGenerator: rate_pps <= 0");
+  if (!FinitePositive(burst_factor) ||
+      !FinitePositive(rate_pps * burst_factor)) {
+    throw std::invalid_argument("ArrivalConfig: bad burst_factor");
   }
-  if (size_bytes == 0) {
-    throw std::invalid_argument("CbrGenerator: zero packet size");
+  if (!FinitePositive(mean_calm_dwell_s) ||
+      !FinitePositive(mean_burst_dwell_s)) {
+    throw std::invalid_argument(
+        "ArrivalConfig: dwell times must be finite and > 0");
   }
 }
 
-PacketMeta CbrGenerator::Next() {
-  now_s_ += interval_s_;
-  PacketMeta p;
-  p.id = next_id_++;
-  p.source_packet_id = p.id;
-  p.arrival_time_s = now_s_;
-  p.size_bytes = size_bytes_;
-  p.flow_hash = flow_hash_;
-  p.priority = priority_;
-  return p;
+ArrivalProcess::ArrivalProcess(ArrivalConfig config,
+                               analognf::RandomStream& rng)
+    : config_(config) {
+  config_.Validate();
+  if (config_.process == ArrivalConfig::Process::kMmpp) {
+    state_ends_s_ = rng.NextExponential(1.0 / config_.mean_calm_dwell_s);
+  }
 }
 
-MmppGenerator::MmppGenerator(Config config, std::unique_ptr<SizeModel> sizes,
-                             std::uint64_t seed)
-    : config_(config), sizes_(std::move(sizes)), rng_(seed) {
-  if (!(config_.calm_rate_pps > 0.0) || !(config_.burst_rate_pps > 0.0)) {
-    throw std::invalid_argument("MmppGenerator: rates must be positive");
+double ArrivalProcess::Next(analognf::RandomStream& rng) {
+  switch (config_.process) {
+    case ArrivalConfig::Process::kPoisson:
+      now_s_ += rng.NextExponential(config_.rate_pps);
+      return now_s_;
+    case ArrivalConfig::Process::kConstant:
+      now_s_ += 1.0 / config_.rate_pps;
+      return now_s_;
+    case ArrivalConfig::Process::kMmpp:
+      break;
   }
-  if (!(config_.mean_calm_dwell_s > 0.0) ||
-      !(config_.mean_burst_dwell_s > 0.0)) {
-    throw std::invalid_argument("MmppGenerator: dwell times must be positive");
-  }
-  if (sizes_ == nullptr) {
-    throw std::invalid_argument("MmppGenerator: null size model");
-  }
-  BuildFlows(seed ^ 0x33bb, config_.flows, config_.high_priority_fraction,
-             config_.ecn_capable_fraction, flow_hashes_, flow_priorities_,
-             flow_ect_);
-  state_ends_s_ = rng_.NextExponential(1.0 / config_.mean_calm_dwell_s);
-}
-
-PacketMeta MmppGenerator::Next() {
   for (;;) {
-    const double rate =
-        in_burst_ ? config_.burst_rate_pps : config_.calm_rate_pps;
-    const double candidate = now_s_ + rng_.NextExponential(rate);
+    const double rate = in_burst_ ? config_.rate_pps * config_.burst_factor
+                                  : config_.rate_pps;
+    const double candidate = now_s_ + rng.NextExponential(rate);
     if (candidate <= state_ends_s_) {
       now_s_ = candidate;
-      break;
+      return now_s_;
     }
-    // State transition before the candidate arrival: discard it
-    // (memorylessness makes this exact) and switch state.
+    // State transition before the candidate arrival: discard it (exact
+    // by memorylessness) and switch state.
     now_s_ = state_ends_s_;
     in_burst_ = !in_burst_;
-    const double dwell = in_burst_ ? config_.mean_burst_dwell_s
-                                   : config_.mean_calm_dwell_s;
-    state_ends_s_ = now_s_ + rng_.NextExponential(1.0 / dwell);
+    const double dwell =
+        in_burst_ ? config_.mean_burst_dwell_s : config_.mean_calm_dwell_s;
+    state_ends_s_ = now_s_ + rng.NextExponential(1.0 / dwell);
   }
-  const auto flow = static_cast<std::size_t>(rng_.NextIndex(config_.flows));
+}
+
+void ArrivalProcess::SetRate(double rate_pps) {
+  ArrivalConfig next = config_;
+  next.rate_pps = rate_pps;
+  next.Validate();
+  config_ = next;
+}
+
+// ------------------------------------------------------------ generator
+
+void PacketGenerator::Config::Validate() const {
+  arrivals.Validate();
+  if (flows == 0) {
+    throw std::invalid_argument("PacketGenerator: flows == 0");
+  }
+  if (!InUnitInterval(high_priority_fraction) ||
+      !InUnitInterval(ecn_capable_fraction)) {
+    throw std::invalid_argument("PacketGenerator: fraction outside [0, 1]");
+  }
+  if (sizes == PacketSizes::kFixed && fixed_size_bytes == 0) {
+    throw std::invalid_argument("PacketGenerator: zero packet size");
+  }
+}
+
+PacketGenerator::PacketGenerator(Config config, std::uint64_t seed)
+    : config_([&] {
+        config.Validate();
+        return config;
+      }()),
+      rng_(seed),
+      clock_(config_.arrivals, rng_) {
+  const auto flows = static_cast<double>(config_.flows);
+  const auto high_count = static_cast<std::uint32_t>(
+      config_.high_priority_fraction * flows + 0.5);
+  const auto ect_count =
+      static_cast<std::uint32_t>(config_.ecn_capable_fraction * flows + 0.5);
+  flows_.reserve(config_.flows);
+  for (std::uint32_t i = 0; i < config_.flows; ++i) {
+    Flow flow;
+    flow.hash = analognf::SplitMix64(seed ^ (0x9e37ULL << 32) ^ i).Next();
+    flow.priority = i < high_count ? std::uint8_t{7} : std::uint8_t{0};
+    // ECT flows are counted from the tail so the two traits cross-cut.
+    flow.ect = config_.flows - 1 - i < ect_count;
+    flows_.push_back(flow);
+  }
+}
+
+PacketMeta PacketGenerator::Next() {
   PacketMeta p;
+  p.arrival_time_s = clock_.Next(rng_);
+  const Flow& flow = flows_[rng_.NextIndex(config_.flows)];
   p.id = next_id_++;
-  p.source_packet_id = p.id;
-  p.arrival_time_s = now_s_;
-  p.size_bytes = sizes_->Sample(rng_);
-  p.flow_hash = flow_hashes_[flow];
-  p.priority = flow_priorities_[flow];
-  p.ecn_capable = flow_ect_[flow];
+  p.size_bytes =
+      SamplePacketSize(config_.sizes, config_.fixed_size_bytes, rng_);
+  p.flow_hash = flow.hash;
+  p.priority = flow.priority;
+  p.ecn_capable = flow.ect;
   return p;
-}
-
-MergedGenerator::MergedGenerator(
-    std::vector<std::unique_ptr<TrafficGenerator>> sources)
-    : sources_(std::move(sources)) {
-  if (sources_.empty()) {
-    throw std::invalid_argument("MergedGenerator: no sources");
-  }
-  for (const auto& src : sources_) {
-    if (src == nullptr) {
-      throw std::invalid_argument("MergedGenerator: null source");
-    }
-  }
-  heads_.reserve(sources_.size());
-  heap_.reserve(sources_.size());
-  for (auto& src : sources_) {
-    heads_.push_back(src->Next());
-    heap_.push_back(static_cast<std::uint32_t>(heap_.size()));
-  }
-  // Build-heap bottom-up: O(n) for n sources.
-  for (std::size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-}
-
-// Strict weak order on source indices by their current head packet:
-// earliest arrival first, ties broken by source index (the same winner
-// the pre-heap linear scan picked, so merged streams are bit-stable
-// across the data-structure change).
-bool MergedGenerator::HeadLess(std::uint32_t a, std::uint32_t b) const {
-  const double ta = heads_[a].arrival_time_s;
-  const double tb = heads_[b].arrival_time_s;
-  if (ta != tb) return ta < tb;
-  return a < b;
-}
-
-void MergedGenerator::SiftDown(std::size_t pos) {
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t best = pos;
-    const std::size_t left = 2 * pos + 1;
-    const std::size_t right = left + 1;
-    if (left < n && HeadLess(heap_[left], heap_[best])) best = left;
-    if (right < n && HeadLess(heap_[right], heap_[best])) best = right;
-    if (best == pos) return;
-    std::swap(heap_[pos], heap_[best]);
-    pos = best;
-  }
-}
-
-PacketMeta MergedGenerator::Next() {
-  const std::uint32_t best = heap_.front();
-  PacketMeta out = heads_[best];
-  // Refill the winning source's head and restore the heap from the
-  // root: O(log n) against the old O(n) scan over every source.
-  heads_[best] = sources_[best]->Next();
-  SiftDown(0);
-  // Re-number for a globally unique, monotone merged stream; the
-  // source's own numbering stays recoverable (see the class comment).
-  out.source = best;
-  out.source_packet_id = out.id;
-  out.id = next_id_++;
-  return out;
 }
 
 }  // namespace analognf::net

@@ -1,15 +1,15 @@
-// Traffic generation for the queue-management experiments.
+// The traffic model: one arrival clock and one packet generator.
 //
 // Sec. 6 evaluates the analog AQM "by simulating the network queues with
-// the Poisson distributed network flows". This module provides that
-// Poisson workload plus the CBR and bursty (MMPP) generators used by the
-// ablation benches (the 3rd-order derivative feature of Fig. 6 is only
-// exercised by bursty traffic).
+// the Poisson distributed network flows". ArrivalProcess is the clock of
+// every workload in the repo — Poisson (the paper's), two-state MMPP
+// (the bursty traffic the 3rd-order derivative feature of Fig. 6 is
+// meant to detect) and constant rate. PacketGenerator puts N synthetic
+// flows on top of it for the queueing experiments; traffic::TrafficSource
+// drives the same clock and size sampler for byte-accurate synthesis.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "analognf/common/rng.hpp"
@@ -19,14 +19,7 @@ namespace analognf::net {
 // Simulation-plane packet descriptor. The byte-accurate Packet is used
 // by the parser path; the queueing experiments only need metadata.
 struct PacketMeta {
-  std::uint64_t id = 0;
-  // ---- stream identity (see MergedGenerator's ID-ownership contract):
-  // `id` is unique and monotone within the stream that emitted the
-  // packet. A merging stage re-stamps `id` for its own stream but
-  // preserves the originating source's numbering here, so per-source
-  // sequences stay recoverable for trace replay.
-  std::uint32_t source = 0;             // index of the originating source
-  std::uint64_t source_packet_id = 0;   // the source's own id for the packet
+  std::uint64_t id = 0;  // unique and monotone within its stream
   double arrival_time_s = 0.0;
   std::uint32_t size_bytes = 0;
   std::uint64_t flow_hash = 0;
@@ -40,151 +33,94 @@ struct PacketMeta {
 };
 
 // Packet-size models.
-class SizeModel {
- public:
-  virtual ~SizeModel() = default;
-  virtual std::uint32_t Sample(analognf::RandomStream& rng) = 0;
+enum class PacketSizes : std::uint8_t {
+  kImix,   // 64 B (7/12), 576 B (4/12), 1500 B (1/12): one draw
+  kFixed,  // every packet `fixed_bytes`: no draw
 };
 
-// Every packet the same size.
-class FixedSize final : public SizeModel {
+std::uint32_t SamplePacketSize(PacketSizes sizes, std::uint32_t fixed_bytes,
+                               analognf::RandomStream& rng);
+
+// When packets arrive, in model time.
+struct ArrivalConfig {
+  enum class Process : std::uint8_t {
+    kPoisson,   // memoryless arrivals at rate_pps
+    kMmpp,      // two-state Markov-modulated Poisson (calm / burst)
+    kConstant,  // one arrival every 1 / rate_pps
+  };
+  Process process = Process::kPoisson;
+  double rate_pps = 1000.0;  // kMmpp: the calm-state rate
+  // kMmpp only: the burst state sends at rate_pps * burst_factor; dwell
+  // times in each state are exponential with these means.
+  double burst_factor = 8.0;
+  double mean_calm_dwell_s = 0.5;
+  double mean_burst_dwell_s = 0.05;
+
+  void Validate() const;  // throws std::invalid_argument
+};
+
+// Stateful arrival clock. It owns no randomness: every draw comes from
+// the stream the caller passes, so a caller can share one stream between
+// the clock and its other draws or keep them apart.
+class ArrivalProcess {
  public:
-  explicit FixedSize(std::uint32_t bytes);
-  std::uint32_t Sample(analognf::RandomStream& rng) override;
+  // Validates `config`; kMmpp draws its first calm dwell from `rng`.
+  ArrivalProcess(ArrivalConfig config, analognf::RandomStream& rng);
+
+  // The next arrival time in seconds; non-decreasing.
+  double Next(analognf::RandomStream& rng);
+
+  // Changes the (calm-state) rate on the fly, e.g. the congestion phase
+  // of Fig. 8. Throws unless finite and positive.
+  void SetRate(double rate_pps);
+  double rate_pps() const { return config_.rate_pps; }
+  bool in_burst() const { return in_burst_; }
 
  private:
-  std::uint32_t bytes_;
+  ArrivalConfig config_;
+  double now_s_ = 0.0;
+  double state_ends_s_ = 0.0;
+  bool in_burst_ = false;
 };
 
-// Simple IMIX: 64 B (7/12), 576 B (4/12), 1500 B (1/12).
-class ImixSize final : public SizeModel {
- public:
-  std::uint32_t Sample(analognf::RandomStream& rng) override;
-};
-
-// A generator yields a time-ordered stream of packet arrivals.
-class TrafficGenerator {
- public:
-  virtual ~TrafficGenerator() = default;
-  // Next arrival; arrival_time_s values are non-decreasing.
-  virtual PacketMeta Next() = 0;
-  virtual std::string name() const = 0;
-};
-
-// Poisson arrivals at `rate_pps` across `flows` synthetic flows
-// (flow chosen uniformly per packet; flow hash and priority are stable
-// per flow). Matches the paper's evaluation workload.
-class PoissonGenerator final : public TrafficGenerator {
+// `flows` synthetic flows behind one arrival clock. Each packet draws,
+// from one seeded stream, its arrival time, then its flow (uniform),
+// then its size. Flow hash, priority and ECT are stable per flow.
+class PacketGenerator {
  public:
   struct Config {
-    double rate_pps = 1000.0;
+    ArrivalConfig arrivals{};
     std::uint32_t flows = 8;
     // Fraction of flows marked high priority (priority 7 vs 0).
     double high_priority_fraction = 0.25;
     // Fraction of flows that are ECN-capable transports.
     double ecn_capable_fraction = 0.0;
+    PacketSizes sizes = PacketSizes::kFixed;
+    std::uint32_t fixed_size_bytes = 1000;  // kFixed only
+
+    void Validate() const;  // throws std::invalid_argument
   };
 
-  PoissonGenerator(Config config, std::unique_ptr<SizeModel> sizes,
-                   std::uint64_t seed);
+  PacketGenerator(Config config, std::uint64_t seed);
 
-  PacketMeta Next() override;
-  std::string name() const override { return "poisson"; }
+  // Next arrival; arrival_time_s values are non-decreasing.
+  PacketMeta Next();
 
-  // Changes the arrival rate on the fly (congestion phases in Fig. 8).
-  void SetRate(double rate_pps);
-  double rate_pps() const { return config_.rate_pps; }
-
- private:
-  Config config_;
-  std::unique_ptr<SizeModel> sizes_;
-  analognf::RandomStream rng_;
-  double now_s_ = 0.0;
-  std::uint64_t next_id_ = 0;
-  std::vector<std::uint64_t> flow_hashes_;
-  std::vector<std::uint8_t> flow_priorities_;
-  std::vector<bool> flow_ect_;
-};
-
-// Constant bit rate: fixed inter-arrival interval.
-class CbrGenerator final : public TrafficGenerator {
- public:
-  CbrGenerator(double rate_pps, std::uint32_t size_bytes,
-               std::uint64_t flow_hash = 0xcb5, std::uint8_t priority = 0);
-
-  PacketMeta Next() override;
-  std::string name() const override { return "cbr"; }
+  void SetRate(double rate_pps) { clock_.SetRate(rate_pps); }
+  double rate_pps() const { return clock_.rate_pps(); }
+  bool in_burst() const { return clock_.in_burst(); }
 
  private:
-  double interval_s_;
-  std::uint32_t size_bytes_;
-  std::uint64_t flow_hash_;
-  std::uint8_t priority_;
-  double now_s_ = 0.0;
-  std::uint64_t next_id_ = 0;
-};
-
-// Two-state Markov-modulated Poisson process: a calm state and a burst
-// state with different rates; dwell times are exponential. Produces the
-// bursty periods the 3rd-order derivative feature is meant to detect.
-class MmppGenerator final : public TrafficGenerator {
- public:
-  struct Config {
-    double calm_rate_pps = 500.0;
-    double burst_rate_pps = 5000.0;
-    double mean_calm_dwell_s = 0.5;
-    double mean_burst_dwell_s = 0.05;
-    std::uint32_t flows = 8;
-    double high_priority_fraction = 0.25;
-    double ecn_capable_fraction = 0.0;
+  struct Flow {
+    std::uint64_t hash = 0;
+    std::uint8_t priority = 0;
+    bool ect = false;
   };
 
-  MmppGenerator(Config config, std::unique_ptr<SizeModel> sizes,
-                std::uint64_t seed);
-
-  PacketMeta Next() override;
-  std::string name() const override { return "mmpp"; }
-  bool in_burst() const { return in_burst_; }
-
- private:
   Config config_;
-  std::unique_ptr<SizeModel> sizes_;
   analognf::RandomStream rng_;
-  double now_s_ = 0.0;
-  double state_ends_s_ = 0.0;
-  bool in_burst_ = false;
-  std::uint64_t next_id_ = 0;
-  std::vector<std::uint64_t> flow_hashes_;
-  std::vector<std::uint8_t> flow_priorities_;
-  std::vector<bool> flow_ect_;
-};
-
-// Merges several generators into one time-ordered stream via a binary
-// min-heap keyed on (head arrival time, source index) — O(log n) per
-// packet, so merging hundreds of per-user sources stays cheap. Ties
-// break by source index, matching the old linear scan exactly.
-//
-// ID ownership: each source numbers its own packets; the merged stream
-// re-stamps `id` so ids are unique and monotone (0, 1, 2, ...) across
-// the merge, and records the origin in `source` (the constructor-order
-// index) and `source_packet_id` (the id the source assigned). Replaying
-// one source's sub-stream from a merged trace therefore needs no side
-// tables.
-class MergedGenerator final : public TrafficGenerator {
- public:
-  explicit MergedGenerator(
-      std::vector<std::unique_ptr<TrafficGenerator>> sources);
-
-  PacketMeta Next() override;
-  std::string name() const override { return "merged"; }
-
- private:
-  bool HeadLess(std::uint32_t a, std::uint32_t b) const;
-  void SiftDown(std::size_t pos);
-
-  std::vector<std::unique_ptr<TrafficGenerator>> sources_;
-  std::vector<PacketMeta> heads_;   // per-source next packet
-  std::vector<std::uint32_t> heap_; // source indices, min-heap by head
+  ArrivalProcess clock_;  // after rng_: construction may draw from it
+  std::vector<Flow> flows_;
   std::uint64_t next_id_ = 0;
 };
 

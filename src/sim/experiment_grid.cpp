@@ -182,7 +182,9 @@ void GridSpec::Validate() const {
     }
   }
   for (const GridLoad& load : loads) {
-    if (!(load.offered_fraction > 0.0) || load.sources == 0) {
+    if (!(std::isfinite(load.offered_fraction) &&
+          load.offered_fraction > 0.0) ||
+        load.sources == 0) {
       throw std::invalid_argument("GridSpec: bad load level");
     }
     if (load.label.empty()) {
@@ -190,7 +192,7 @@ void GridSpec::Validate() const {
     }
   }
   for (double ecn : ecn_fractions) {
-    if (ecn < 0.0 || ecn > 1.0) {
+    if (!(ecn >= 0.0 && ecn <= 1.0)) {
       throw std::invalid_argument("GridSpec: ECN fraction outside [0,1]");
     }
   }
@@ -424,14 +426,13 @@ GridCellResult ExperimentGrid::RunOpenLoop(AqmPolicyKind policy_kind,
   CellPolicy cell_policy =
       MakePolicy(spec_, policy_kind, rtt_s, Mix(cell_seed));
 
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = load.offered_fraction * spec_.link_rate_bps /
-                (8.0 * static_cast<double>(spec_.segment_bytes));
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = load.offered_fraction * spec_.link_rate_bps /
+                         (8.0 * static_cast<double>(spec_.segment_bytes));
   gc.flows = spec_.open_loop_flows;
   gc.ecn_capable_fraction = ecn_fraction;
-  net::PoissonGenerator gen(
-      gc, std::make_unique<net::FixedSize>(spec_.segment_bytes),
-      cell_seed);
+  gc.fixed_size_bytes = spec_.segment_bytes;
+  net::PacketGenerator gen(gc, cell_seed);
 
   QueueSimConfig qc;
   qc.duration_s = spec_.open_duration_s;

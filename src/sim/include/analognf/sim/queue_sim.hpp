@@ -23,8 +23,9 @@
 
 namespace analognf::sim {
 
-// A scheduled offered-load change (the congestion phases of Fig. 8).
-// Applies only when the simulator is driven by a PoissonGenerator.
+// A scheduled offered-load change (the congestion phases of Fig. 8):
+// from the first arrival at or after start_s, the generator's rate is
+// rate_pps.
 struct RatePhase {
   double start_s = 0.0;
   double rate_pps = 0.0;
@@ -89,12 +90,11 @@ struct SimTelemetry {
 
 class QueueSimulator {
  public:
-  // `controller` may be null (no adaptation). If `poisson` is non-null,
-  // config.phases drive SetRate on it.
-  QueueSimulator(QueueSimConfig config, net::TrafficGenerator& generator,
+  // `controller` may be null (no adaptation). config.phases drive
+  // SetRate on `generator`.
+  QueueSimulator(QueueSimConfig config, net::PacketGenerator& generator,
                  aqm::AqmPolicy& policy,
-                 aqm::CognitiveAqmController* controller = nullptr,
-                 net::PoissonGenerator* poisson = nullptr);
+                 aqm::CognitiveAqmController* controller = nullptr);
 
   // Binds `sim.offered/.delivered` counters, the `sim.sojourn_us`
   // histogram and the `sim.queue_depth` gauge. Telemetry never changes
@@ -112,10 +112,9 @@ class QueueSimulator {
   void SamplePdp();
 
   QueueSimConfig config_;
-  net::TrafficGenerator& generator_;
+  net::PacketGenerator& generator_;
   aqm::AqmPolicy& policy_;
   aqm::CognitiveAqmController* controller_;
-  net::PoissonGenerator* poisson_;
 
   EventQueue events_;
   net::PacketQueue queue_;

@@ -8,10 +8,11 @@
 namespace analognf::sim {
 
 void QueueSimConfig::Validate() const {
-  if (!(duration_s > 0.0)) {
-    throw std::invalid_argument("QueueSimConfig: duration <= 0");
+  if (!(std::isfinite(duration_s) && duration_s > 0.0)) {
+    throw std::invalid_argument(
+        "QueueSimConfig: duration not finite and > 0");
   }
-  if (warmup_s < 0.0 || warmup_s >= duration_s) {
+  if (!(warmup_s >= 0.0 && warmup_s < duration_s)) {
     throw std::invalid_argument(
         "QueueSimConfig: warmup must be in [0, duration)");
   }
@@ -21,8 +22,12 @@ void QueueSimConfig::Validate() const {
   if (!(sample_interval_s > 0.0)) {
     throw std::invalid_argument("QueueSimConfig: sample interval <= 0");
   }
-  for (std::size_t i = 1; i < phases.size(); ++i) {
-    if (phases[i].start_s < phases[i - 1].start_s) {
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    if (!(std::isfinite(phases[i].rate_pps) && phases[i].rate_pps > 0.0)) {
+      throw std::invalid_argument(
+          "QueueSimConfig: phase rate not finite and > 0");
+    }
+    if (i > 0 && phases[i].start_s < phases[i - 1].start_s) {
       throw std::invalid_argument("QueueSimConfig: phases out of order");
     }
   }
@@ -68,15 +73,13 @@ double SimReport::DelayFractionWithin(double lo_s, double hi_s) const {
 }
 
 QueueSimulator::QueueSimulator(QueueSimConfig config,
-                               net::TrafficGenerator& generator,
+                               net::PacketGenerator& generator,
                                aqm::AqmPolicy& policy,
-                               aqm::CognitiveAqmController* controller,
-                               net::PoissonGenerator* poisson)
+                               aqm::CognitiveAqmController* controller)
     : config_(config),
       generator_(generator),
       policy_(policy),
       controller_(controller),
-      poisson_(poisson),
       queue_(config.queue) {
   config_.Validate();
 }
@@ -115,9 +118,9 @@ void QueueSimulator::OnArrival(const net::PacketMeta& packet) {
   telemetry_.offered.Inc();
 
   // Apply any pending offered-load phase changes.
-  while (poisson_ != nullptr && next_phase_ < config_.phases.size() &&
+  while (next_phase_ < config_.phases.size() &&
          config_.phases[next_phase_].start_s <= now) {
-    poisson_->SetRate(config_.phases[next_phase_].rate_pps);
+    generator_.SetRate(config_.phases[next_phase_].rate_pps);
     ++next_phase_;
   }
 

@@ -1,11 +1,12 @@
 // TrafficSource: one port's packet stream, batch at a time.
 //
 // Three modes behind one NextBatch() API:
-//   * Live      — WorkloadConfig-driven synthesis: ArrivalProcess clocks
-//                 the stream, a ZipfSampler picks which flow of the
-//                 FlowPopulation sends (heavy-tailed popularity), a size
-//                 model picks the frame length, and SynthesizeFrame
-//                 emits the byte-accurate packet. Never exhausts.
+//   * Live      — WorkloadConfig-driven synthesis: net::ArrivalProcess
+//                 clocks the stream, a ZipfSampler picks which flow of
+//                 the FlowPopulation sends (heavy-tailed popularity),
+//                 net::SamplePacketSize picks the frame length, and
+//                 SynthesizeFrame emits the byte-accurate packet. Never
+//                 exhausts.
 //   * Replay    — re-emits a recorded Trace. Because synthesis is a
 //                 pure function of (population, flow, frame_bytes), the
 //                 replayed packets are byte-identical to the live run
@@ -73,7 +74,8 @@ class TrafficSource {
   WorkloadConfig config_{};
   std::unique_ptr<FlowPopulation> population_;
   std::unique_ptr<ZipfSampler> zipf_;
-  std::unique_ptr<ArrivalProcess> arrivals_;
+  std::unique_ptr<analognf::RandomStream> clock_rng_;
+  std::unique_ptr<net::ArrivalProcess> arrivals_;
   std::unique_ptr<analognf::RandomStream> rng_;
 
   // kReplay

@@ -11,7 +11,6 @@
 #include "analognf/net/generator.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 
 namespace analognf::arch {
@@ -701,10 +700,9 @@ TEST(TopologyTest, ConfigValidation) {
 
 TEST(TopologyTest, UnderloadEndToEndIsPropagationPlusService) {
   LineTopology line(TwoHops(false));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 300.0;  // far below the 1250 pps per-hop capacity
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            3);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 300.0;  // far below the 1250 pps per-hop capacity
+  net::PacketGenerator gen(gc, 3);
   const TopologyReport report = line.Run(gen);
   ASSERT_GT(report.delivered, 500u);
   // Two propagation legs (2 ms each) + two ~0.83 ms services + small
@@ -715,10 +713,9 @@ TEST(TopologyTest, UnderloadEndToEndIsPropagationPlusService) {
 
 TEST(TopologyTest, PerHopAqmBoundsEndToEndUnderOverload) {
   LineTopology line(TwoHops(true));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;  // 144% of hop capacity
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            4);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 1800.0;  // 144% of hop capacity
+  net::PacketGenerator gen(gc, 4);
   const TopologyReport report = line.Run(gen);
   ASSERT_GT(report.delivered, 1000u);
   // Only hop 0 is congested (its drops thin the traffic for hop 1), so
@@ -730,20 +727,18 @@ TEST(TopologyTest, PerHopAqmBoundsEndToEndUnderOverload) {
 
 TEST(TopologyTest, WithoutAqmOverloadDelayExplodes) {
   LineTopology line(TwoHops(false));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            4);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 1800.0;
+  net::PacketGenerator gen(gc, 4);
   const TopologyReport report = line.Run(gen);
   EXPECT_GT(report.end_to_end.mean(), 0.3);
 }
 
 TEST(TopologyTest, ConservationAcrossHops) {
   LineTopology line(TwoHops(true));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1500.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            5);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 1500.0;
+  net::PacketGenerator gen(gc, 5);
   const TopologyReport report = line.Run(gen);
   EXPECT_LE(report.delivered, report.offered);
   ASSERT_EQ(report.hop_stats.size(), 2u);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "analognf/cognitive/associative.hpp"
 #include "analognf/cognitive/classifier.hpp"
@@ -295,9 +294,19 @@ TEST(ClassifierTest, EndToEndOverGeneratedTraffic) {
   // Feed real generator traffic through tracker + classifier.
   AnalogTrafficClassifier clf = MakeClassifier();
   FlowTracker tracker;
-  net::CbrGenerator voip_gen(50.0, 160, /*flow_hash=*/0xb0);
-  for (int i = 0; i < 500; ++i) tracker.Observe(voip_gen.Next());
-  const auto result = clf.Classify(tracker.Features(0xb0), 0.2);
+  net::PacketGenerator::Config voip;
+  voip.arrivals.process = net::ArrivalConfig::Process::kConstant;
+  voip.arrivals.rate_pps = 50.0;
+  voip.flows = 1;
+  voip.fixed_size_bytes = 160;
+  net::PacketGenerator voip_gen(voip, 0xb0);
+  std::uint64_t flow = 0;
+  for (int i = 0; i < 500; ++i) {
+    const net::PacketMeta p = voip_gen.Next();
+    flow = p.flow_hash;
+    tracker.Observe(p);
+  }
+  const auto result = clf.Classify(tracker.Features(flow), 0.2);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->label, "voip");
 }

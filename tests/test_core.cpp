@@ -987,7 +987,9 @@ TEST(PcamTableCommitTest, SearchThrowsOnUncommittedMutations) {
 TEST(PcamTableCommitTest, CommitStatsSeparateDeltaFromFullRecompiles) {
   PcamTable table(1, TestHardware());
   for (int i = 0; i < 4; ++i) {
-    table.Insert({"r" + std::to_string(i),
+    std::string key = "r";
+    key += std::to_string(i);
+    table.Insert({key,
                   {PcamParams::MakeBand(1.0 + i, 0.2, 0.3)},
                   static_cast<std::uint32_t>(i)});
   }

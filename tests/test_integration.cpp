@@ -99,10 +99,9 @@ TEST(Integration, Fig8QueueManagementShape) {
   // Without AQM delays climb monotonically under overload; with the
   // pCAM AQM the delay is held near the programmed 20 ms +/- 10 ms.
   const auto run = [](bool with_aqm) {
-    net::PoissonGenerator::Config gc;
-    gc.rate_pps = 1800.0;  // 144% of the 1250 pps the link can carry
-    auto gen = std::make_unique<net::PoissonGenerator>(
-        gc, std::make_unique<net::FixedSize>(1000), 99);
+    net::PacketGenerator::Config gc;
+    gc.arrivals.rate_pps = 1800.0;  // 144% of the 1250 pps the link can carry
+    auto gen = std::make_unique<net::PacketGenerator>(gc, 99);
     sim::QueueSimConfig sc;
     sc.duration_s = 6.0;
     sc.warmup_s = 1.5;
@@ -205,10 +204,9 @@ TEST(Integration, CognitiveControllerImprovesConformance) {
   // Run the Fig. 8 workload with a deliberately mis-programmed AQM
   // (target far above the achievable bound) and let the controller
   // adapt it back.
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), 7);
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 1800.0;
+  auto gen = std::make_unique<net::PacketGenerator>(gc, 7);
   sim::QueueSimConfig sc;
   sc.duration_s = 8.0;
   sc.warmup_s = 4.0;
@@ -230,10 +228,9 @@ TEST(Integration, WholeStackIsDeterministic) {
     device::SynthesisConfig dc;
     const device::MemristorDataset ds = device::MemristorDataset::Synthesize(dc);
     aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-    net::PoissonGenerator::Config gc;
-    gc.rate_pps = 1500.0;
-    auto gen = std::make_unique<net::PoissonGenerator>(
-        gc, std::make_unique<net::FixedSize>(1000), 5);
+    net::PacketGenerator::Config gc;
+    gc.arrivals.rate_pps = 1500.0;
+    auto gen = std::make_unique<net::PacketGenerator>(gc, 5);
     sim::QueueSimConfig sc;
     sc.duration_s = 3.0;
     sc.warmup_s = 0.5;

@@ -2,6 +2,9 @@
 // traffic generation, and the sojourn-tracking queue.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -261,32 +264,32 @@ TEST(FiveTupleTest, HashIsStableAndDiscriminates) {
 
 // --------------------------------------------------------- generators
 
-TEST(PoissonGeneratorTest, RateMatchesConfig) {
-  PoissonGenerator::Config c;
-  c.rate_pps = 2000.0;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(500), 1);
+TEST(PacketGeneratorTest, RateMatchesConfig) {
+  PacketGenerator::Config c;
+  c.arrivals.rate_pps = 2000.0;
+  c.fixed_size_bytes = 500;
+  PacketGenerator gen(c, 1);
   RunningStats gaps;
   double prev = 0.0;
   for (int i = 0; i < 20000; ++i) {
     const PacketMeta p = gen.Next();
     gaps.Add(p.arrival_time_s - prev);
     prev = p.arrival_time_s;
+    EXPECT_EQ(p.size_bytes, 500u);
   }
   EXPECT_NEAR(gaps.mean(), 1.0 / 2000.0, 2e-5);
 }
 
-TEST(PoissonGeneratorTest, DeterministicAcrossRuns) {
-  PoissonGenerator::Config c;
-  PoissonGenerator a(c, std::make_unique<FixedSize>(100), 7);
-  PoissonGenerator b(c, std::make_unique<FixedSize>(100), 7);
+TEST(PacketGeneratorTest, DeterministicAcrossRuns) {
+  PacketGenerator a(PacketGenerator::Config{}, 7);
+  PacketGenerator b(PacketGenerator::Config{}, 7);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.Next().arrival_time_s, b.Next().arrival_time_s);
   }
 }
 
-TEST(PoissonGeneratorTest, TimesAreMonotone) {
-  PoissonGenerator::Config c;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 8);
+TEST(PacketGeneratorTest, TimesAreMonotone) {
+  PacketGenerator gen(PacketGenerator::Config{}, 8);
   double prev = -1.0;
   for (int i = 0; i < 1000; ++i) {
     const double t = gen.Next().arrival_time_s;
@@ -295,11 +298,11 @@ TEST(PoissonGeneratorTest, TimesAreMonotone) {
   }
 }
 
-TEST(PoissonGeneratorTest, FlowsAndPrioritiesStable) {
-  PoissonGenerator::Config c;
+TEST(PacketGeneratorTest, FlowsAndPrioritiesStable) {
+  PacketGenerator::Config c;
   c.flows = 4;
   c.high_priority_fraction = 0.5;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 9);
+  PacketGenerator gen(c, 9);
   std::set<std::uint64_t> hashes;
   int high = 0;
   int total = 0;
@@ -313,10 +316,10 @@ TEST(PoissonGeneratorTest, FlowsAndPrioritiesStable) {
   EXPECT_NEAR(static_cast<double>(high) / total, 0.5, 0.05);
 }
 
-TEST(PoissonGeneratorTest, SetRateChangesTempo) {
-  PoissonGenerator::Config c;
-  c.rate_pps = 100.0;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 10);
+TEST(PacketGeneratorTest, SetRateChangesTempo) {
+  PacketGenerator::Config c;
+  c.arrivals.rate_pps = 100.0;
+  PacketGenerator gen(c, 10);
   for (int i = 0; i < 100; ++i) gen.Next();
   const double t0 = gen.Next().arrival_time_s;
   gen.SetRate(100000.0);
@@ -327,24 +330,84 @@ TEST(PoissonGeneratorTest, SetRateChangesTempo) {
   EXPECT_THROW(gen.SetRate(0.0), std::invalid_argument);
 }
 
-TEST(CbrGeneratorTest, FixedSpacing) {
-  CbrGenerator gen(100.0, 1000);
+TEST(PacketGeneratorTest, ConstantRateFixedSpacing) {
+  PacketGenerator::Config c;
+  c.arrivals.process = ArrivalConfig::Process::kConstant;
+  c.arrivals.rate_pps = 100.0;
+  c.flows = 1;
+  PacketGenerator gen(c, 0xcb5);
   const PacketMeta a = gen.Next();
   const PacketMeta b = gen.Next();
   EXPECT_NEAR(b.arrival_time_s - a.arrival_time_s, 0.01, 1e-12);
   EXPECT_EQ(a.size_bytes, 1000u);
+  EXPECT_EQ(a.flow_hash, b.flow_hash);
 }
 
-TEST(CbrGeneratorTest, RejectsBadConfig) {
-  EXPECT_THROW(CbrGenerator(0.0, 100), std::invalid_argument);
-  EXPECT_THROW(CbrGenerator(10.0, 0), std::invalid_argument);
+TEST(PacketGeneratorTest, RejectsBadConfig) {
+  PacketGenerator::Config c;
+  c.arrivals.rate_pps = 0.0;
+  EXPECT_THROW(PacketGenerator(c, 1), std::invalid_argument);
+  c = PacketGenerator::Config{};
+  c.fixed_size_bytes = 0;
+  EXPECT_THROW(PacketGenerator(c, 1), std::invalid_argument);
+  c = PacketGenerator::Config{};
+  c.flows = 0;
+  EXPECT_THROW(PacketGenerator(c, 1), std::invalid_argument);
 }
 
-TEST(MmppGeneratorTest, BurstRateExceedsCalmRate) {
-  MmppGenerator::Config c;
-  c.calm_rate_pps = 100.0;
-  c.burst_rate_pps = 10000.0;
-  MmppGenerator gen(c, std::make_unique<FixedSize>(200), 11);
+// An infinite rate makes every inter-arrival gap 0, so a simulation
+// driven by it never reaches its end time.
+TEST(PacketGeneratorTest, RejectsNonFiniteRatesAndDwells) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto process :
+       {ArrivalConfig::Process::kPoisson, ArrivalConfig::Process::kMmpp,
+        ArrivalConfig::Process::kConstant}) {
+    for (const double rate : {inf, nan}) {
+      PacketGenerator::Config c;
+      c.arrivals.process = process;
+      c.arrivals.rate_pps = rate;
+      EXPECT_THROW(PacketGenerator(c, 1), std::invalid_argument);
+    }
+  }
+  ArrivalConfig a;
+  a.process = ArrivalConfig::Process::kMmpp;
+  a.mean_calm_dwell_s = inf;
+  EXPECT_THROW(a.Validate(), std::invalid_argument);
+  a = ArrivalConfig{};
+  a.mean_burst_dwell_s = nan;
+  EXPECT_THROW(a.Validate(), std::invalid_argument);
+  a = ArrivalConfig{};
+  a.burst_factor = inf;
+  EXPECT_THROW(a.Validate(), std::invalid_argument);
+
+  PacketGenerator gen(PacketGenerator::Config{}, 1);
+  EXPECT_THROW(gen.SetRate(inf), std::invalid_argument);
+  EXPECT_THROW(gen.SetRate(nan), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(gen.rate_pps(), 1000.0);
+}
+
+// A negative fraction would reach an unsigned cast of a negative double
+// when the flows are built.
+TEST(PacketGeneratorTest, RejectsFractionsOutsideUnitInterval) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-1.0, 1.5, nan}) {
+    PacketGenerator::Config c;
+    c.high_priority_fraction = bad;
+    EXPECT_THROW(PacketGenerator(c, 1), std::invalid_argument);
+    c = PacketGenerator::Config{};
+    c.ecn_capable_fraction = bad;
+    EXPECT_THROW(PacketGenerator(c, 1), std::invalid_argument);
+  }
+}
+
+TEST(PacketGeneratorTest, MmppBurstRateExceedsCalmRate) {
+  PacketGenerator::Config c;
+  c.arrivals.process = ArrivalConfig::Process::kMmpp;
+  c.arrivals.rate_pps = 100.0;
+  c.arrivals.burst_factor = 100.0;
+  c.fixed_size_bytes = 200;
+  PacketGenerator gen(c, 11);
   // Count arrivals in burst vs calm periods via inter-arrival gaps.
   RunningStats calm_gaps;
   RunningStats burst_gaps;
@@ -364,9 +427,11 @@ TEST(MmppGeneratorTest, BurstRateExceedsCalmRate) {
   EXPECT_LT(burst_gaps.mean() * 5.0, calm_gaps.mean());
 }
 
-TEST(MmppGeneratorTest, TimesAreMonotone) {
-  MmppGenerator::Config c;
-  MmppGenerator gen(c, std::make_unique<ImixSize>(), 12);
+TEST(PacketGeneratorTest, MmppTimesAreMonotone) {
+  PacketGenerator::Config c;
+  c.arrivals.process = ArrivalConfig::Process::kMmpp;
+  c.sizes = PacketSizes::kImix;
+  PacketGenerator gen(c, 12);
   double prev = -1.0;
   for (int i = 0; i < 5000; ++i) {
     const double t = gen.Next().arrival_time_s;
@@ -376,12 +441,11 @@ TEST(MmppGeneratorTest, TimesAreMonotone) {
 }
 
 TEST(ImixSizeTest, ProducesOnlyImixSizes) {
-  ImixSize sizes;
   RandomStream rng(13);
   int small = 0;
   int total = 0;
   for (int i = 0; i < 12000; ++i) {
-    const std::uint32_t s = sizes.Sample(rng);
+    const std::uint32_t s = SamplePacketSize(PacketSizes::kImix, 0, rng);
     EXPECT_TRUE(s == 64 || s == 576 || s == 1500);
     if (s == 64) ++small;
     ++total;
@@ -389,99 +453,11 @@ TEST(ImixSizeTest, ProducesOnlyImixSizes) {
   EXPECT_NEAR(static_cast<double>(small) / total, 7.0 / 12.0, 0.03);
 }
 
-TEST(MergedGeneratorTest, OutputIsTimeOrdered) {
-  std::vector<std::unique_ptr<TrafficGenerator>> sources;
-  sources.push_back(std::make_unique<CbrGenerator>(100.0, 100));
-  sources.push_back(std::make_unique<CbrGenerator>(333.0, 200));
-  MergedGenerator merged(std::move(sources));
-  double prev = -1.0;
-  for (int i = 0; i < 1000; ++i) {
-    const double t = merged.Next().arrival_time_s;
-    EXPECT_GE(t, prev);
-    prev = t;
-  }
-}
-
-TEST(MergedGeneratorTest, RejectsEmptyOrNull) {
-  EXPECT_THROW(
-      MergedGenerator(std::vector<std::unique_ptr<TrafficGenerator>>{}),
-      std::invalid_argument);
-}
-
-// The heap merge must pick exactly the packet the pre-heap linear scan
-// picked: earliest head arrival, ties broken by lowest source index.
-// The reference here IS that linear scan, run over an identical set of
-// sources in lockstep.
-TEST(MergedGeneratorTest, MatchesReferenceLinearMerge) {
-  auto make_sources = [] {
-    std::vector<std::unique_ptr<TrafficGenerator>> sources;
-    // Identical CBR pairs produce exact arrival-time ties, so the
-    // tie-break rule is genuinely exercised.
-    sources.push_back(std::make_unique<CbrGenerator>(250.0, 64));
-    sources.push_back(std::make_unique<CbrGenerator>(250.0, 128));
-    sources.push_back(std::make_unique<PoissonGenerator>(
-        PoissonGenerator::Config{.rate_pps = 400.0},
-        std::make_unique<FixedSize>(256), 42));
-    sources.push_back(std::make_unique<MmppGenerator>(
-        MmppGenerator::Config{}, std::make_unique<FixedSize>(512), 43));
-    sources.push_back(std::make_unique<CbrGenerator>(997.0, 72));
-    return sources;
-  };
-
-  MergedGenerator merged(make_sources());
-
-  // Reference linear merge over a second, identical source set.
-  auto ref_sources = make_sources();
-  std::vector<PacketMeta> heads;
-  heads.reserve(ref_sources.size());
-  for (auto& src : ref_sources) heads.push_back(src->Next());
-
-  for (int i = 0; i < 5000; ++i) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < heads.size(); ++s) {
-      if (heads[s].arrival_time_s < heads[best].arrival_time_s) best = s;
-    }
-    const PacketMeta expected = heads[best];
-    heads[best] = ref_sources[best]->Next();
-
-    const PacketMeta got = merged.Next();
-    EXPECT_EQ(got.arrival_time_s, expected.arrival_time_s) << "packet " << i;
-    EXPECT_EQ(got.source, best) << "packet " << i;
-    EXPECT_EQ(got.source_packet_id, expected.id) << "packet " << i;
-    EXPECT_EQ(got.size_bytes, expected.size_bytes) << "packet " << i;
-  }
-}
-
-// ID ownership contract: the merged stream re-numbers ids uniquely and
-// monotonically, while each source's own numbering stays recoverable
-// through (source, source_packet_id).
-TEST(MergedGeneratorTest, MergedIdsUniqueMonotoneSourceIdsRecoverable) {
-  std::vector<std::unique_ptr<TrafficGenerator>> sources;
-  sources.push_back(std::make_unique<CbrGenerator>(100.0, 64));
-  sources.push_back(std::make_unique<CbrGenerator>(300.0, 128));
-  sources.push_back(std::make_unique<CbrGenerator>(700.0, 256));
-  MergedGenerator merged(std::move(sources));
-
-  std::vector<std::uint64_t> next_source_id(3, 0);
-  for (std::uint64_t i = 0; i < 3000; ++i) {
-    const PacketMeta p = merged.Next();
-    // Global ids: exactly 0, 1, 2, ... in emission order.
-    EXPECT_EQ(p.id, i);
-    // Per-source ids: each source's sub-stream counts 0, 1, 2, ... with
-    // no gaps — the source-local numbering survives the merge.
-    ASSERT_LT(p.source, 3u);
-    EXPECT_EQ(p.source_packet_id, next_source_id[p.source]++);
-  }
-  // Every source was drained roughly in proportion to its rate.
-  EXPECT_GT(next_source_id[0], 0u);
-  EXPECT_GT(next_source_id[1], next_source_id[0]);
-  EXPECT_GT(next_source_id[2], next_source_id[1]);
-}
-
-TEST(PoissonGeneratorTest, SetRateMidStreamKeepsTimeMonotone) {
-  PoissonGenerator::Config c;
-  c.rate_pps = 50.0;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(64), 77);
+TEST(PacketGeneratorTest, SetRateMidStreamKeepsTimeMonotone) {
+  PacketGenerator::Config c;
+  c.arrivals.rate_pps = 50.0;
+  c.fixed_size_bytes = 64;
+  PacketGenerator gen(c, 77);
   double prev = 0.0;
   for (int i = 0; i < 200; ++i) {
     const double t = gen.Next().arrival_time_s;
@@ -507,6 +483,101 @@ TEST(PoissonGeneratorTest, SetRateMidStreamKeepsTimeMonotone) {
     EXPECT_GT(t, prev);
     prev = t;
   }
+}
+
+// --------------------------------------------------------- stream pins
+//
+// FNV-1a digests of the first 10^5 packets of the seeded streams the
+// figures are computed from. Any change to the traffic model that moves
+// a random draw, an arrival-time bit, a size, a priority or an ECT flag
+// changes a digest, so these fail before a figure silently shifts.
+
+constexpr int kPinPackets = 100'000;
+
+class StreamDigest {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+    }
+  }
+  void AddPacket(const PacketMeta& p) {
+    Add(p.id);
+    Add(p.arrival_time_s);
+    Add(p.size_bytes);
+    Add(p.priority);
+    Add(p.ecn_capable);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Fig. 8: 800 pps of 1000 B packets over 8 flows, stepped to 2000 pps at
+// t = 2 s the way QueueSimulator applies a RatePhase (after the first
+// arrival at or past the phase start). Flow hashes are pinned too: the
+// multi-hop harness turns them into addresses.
+TEST(StreamPinTest, Fig8PoissonWithRateStep) {
+  PacketGenerator::Config c;
+  c.arrivals.rate_pps = 800.0;
+  PacketGenerator gen(c, 2023);
+  StreamDigest digest;
+  bool stepped = false;
+  for (int i = 0; i < kPinPackets; ++i) {
+    const PacketMeta p = gen.Next();
+    digest.AddPacket(p);
+    digest.Add(p.flow_hash);
+    if (!stepped && p.arrival_time_s >= 2.0) {
+      gen.SetRate(2000.0);
+      stepped = true;
+    }
+  }
+  EXPECT_EQ(digest.value(), 0xe34be1d43e8a0cf5ULL);
+}
+
+// The derivative ablation's bursty workload: 900 pps calm, 4000 pps
+// bursts, 0.4 s / 0.08 s mean dwells. Flows are pinned by their order
+// of first appearance, which fixes which synthetic flow sends each
+// packet independently of how flow hashes are salted.
+TEST(StreamPinTest, AblationMmpp) {
+  PacketGenerator::Config c;
+  c.arrivals.process = ArrivalConfig::Process::kMmpp;
+  c.arrivals.rate_pps = 900.0;
+  c.arrivals.burst_factor = 4000.0 / 900.0;
+  c.arrivals.mean_calm_dwell_s = 0.4;
+  c.arrivals.mean_burst_dwell_s = 0.08;
+  PacketGenerator gen(c, 17);
+  StreamDigest digest;
+  std::map<std::uint64_t, std::uint64_t> flow_order;
+  for (int i = 0; i < kPinPackets; ++i) {
+    const PacketMeta p = gen.Next();
+    digest.AddPacket(p);
+    const std::uint64_t order = flow_order.size();
+    digest.Add(flow_order.emplace(p.flow_hash, order).first->second);
+  }
+  EXPECT_EQ(flow_order.size(), 8u);
+  EXPECT_EQ(digest.value(), 0x8c4f415ee0d1e0adULL);
+}
+
+// An experiment-grid open-loop cell: 0.9 x 10 Mb/s of 1000 B segments
+// over 16 flows, half of them ECN-capable.
+TEST(StreamPinTest, GridOpenLoopCell) {
+  PacketGenerator::Config c;
+  c.arrivals.rate_pps = 0.9 * 10.0e6 / (8.0 * 1000.0);
+  c.flows = 16;
+  c.ecn_capable_fraction = 0.5;
+  PacketGenerator gen(c, 0x5107);
+  StreamDigest digest;
+  for (int i = 0; i < kPinPackets; ++i) {
+    const PacketMeta p = gen.Next();
+    digest.AddPacket(p);
+    digest.Add(p.flow_hash);
+  }
+  EXPECT_EQ(digest.value(), 0x3f19997e8f99f086ULL);
 }
 
 // -------------------------------------------------------------- queue
@@ -674,10 +745,10 @@ TEST(VlanTest, TruncatedTagIsEthernetError) {
 // ----------------------------------------------------------------- ECN
 
 TEST(EcnFlowTest, GeneratorMarksEcnCapableFlows) {
-  PoissonGenerator::Config c;
+  PacketGenerator::Config c;
   c.flows = 4;
   c.ecn_capable_fraction = 0.5;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 21);
+  PacketGenerator gen(c, 21);
   int ect = 0;
   int total = 0;
   for (int i = 0; i < 4000; ++i) {
@@ -688,8 +759,7 @@ TEST(EcnFlowTest, GeneratorMarksEcnCapableFlows) {
 }
 
 TEST(EcnFlowTest, DefaultIsNotEcnCapable) {
-  PoissonGenerator::Config c;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 22);
+  PacketGenerator gen(PacketGenerator::Config{}, 22);
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(gen.Next().ecn_capable);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <string>
 
 #include "analognf/aqm/pie.hpp"
@@ -54,6 +55,22 @@ TEST(GridSpecTest, ValidateRejectsBadAxes) {
 
   EXPECT_NO_THROW(TinySpec().Validate());
   EXPECT_NO_THROW(GridSpec::Default().Validate());
+}
+
+// An infinite offered load means an infinite generator rate in every
+// open-loop cell; the spec rejects it before any cell runs.
+TEST(GridSpecTest, ValidateRejectsNonFiniteLoadAndNanEcn) {
+  GridSpec spec = TinySpec();
+  spec.loads[0].offered_fraction = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.loads[0].offered_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.ecn_fractions = {std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
 }
 
 TEST(GridSpecTest, DefaultGridMeetsShootoutFloor) {

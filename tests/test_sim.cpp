@@ -2,6 +2,7 @@
 // harness (the Fig. 8 experiment machinery).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "analognf/aqm/analog_aqm.hpp"
@@ -92,6 +93,29 @@ TEST(QueueSimConfigTest, Validation) {
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 
+// An infinite duration, or an infinite phase rate (zero gaps), never
+// lets Run() finish; a non-positive phase rate would throw mid-run.
+TEST(QueueSimConfigTest, RejectsNonFiniteDurationAndBadPhaseRates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  QueueSimConfig c;
+  c.duration_s = inf;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c.duration_s = nan;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  for (const double rate : {0.0, -100.0, inf, nan}) {
+    c = QueueSimConfig{};
+    c.phases = {{2.0, rate}};
+    EXPECT_THROW(c.Validate(), std::invalid_argument);
+  }
+  // The simulator validates at construction.
+  net::PacketGenerator gen(net::PacketGenerator::Config{}, 1);
+  aqm::TailDropOnly policy;
+  c = QueueSimConfig{};
+  c.phases = {{2.0, inf}};
+  EXPECT_THROW(QueueSimulator(c, gen, policy), std::invalid_argument);
+}
+
 // A 10 Mb/s link serving 1000-byte packets handles 1250 pps.
 QueueSimConfig ShortSim() {
   QueueSimConfig c;
@@ -101,12 +125,11 @@ QueueSimConfig ShortSim() {
   return c;
 }
 
-std::unique_ptr<net::PoissonGenerator> MakePoisson(double rate_pps,
-                                                   std::uint64_t seed) {
-  net::PoissonGenerator::Config c;
-  c.rate_pps = rate_pps;
-  return std::make_unique<net::PoissonGenerator>(
-      c, std::make_unique<net::FixedSize>(1000), seed);
+std::unique_ptr<net::PacketGenerator> MakePoisson(double rate_pps,
+                                                  std::uint64_t seed) {
+  net::PacketGenerator::Config c;
+  c.arrivals.rate_pps = rate_pps;
+  return std::make_unique<net::PacketGenerator>(c, seed);
 }
 
 // ------------------------------------------------------------- behaviour
@@ -201,7 +224,7 @@ TEST(QueueSimulatorTest, PhasesChangeOfferedLoad) {
   aqm::TailDropOnly policy;
   QueueSimConfig c = ShortSim();
   c.phases = {{2.0, 3000.0}};  // congestion starts at t = 2 s
-  QueueSimulator sim(c, *gen, policy, nullptr, gen.get());
+  QueueSimulator sim(c, *gen, policy);
   const SimReport report = sim.Run();
   // Delays before the phase flip stay tiny; after it they blow up.
   double early_max = 0.0;
@@ -268,12 +291,11 @@ TEST(QueueSimulatorTest, DeterministicAcrossRuns) {
 // Priority handling end to end: high-priority flows should see a lower
 // drop rate through the analog AQM.
 TEST(QueueSimulatorTest, HighPriorityFlowsFavoured) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 2500.0;
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 2500.0;
   gc.flows = 8;
   gc.high_priority_fraction = 0.5;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), 12);
+  auto gen = std::make_unique<net::PacketGenerator>(gc, 12);
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
   QueueSimConfig c = ShortSim();
   QueueSimulator sim(c, *gen, policy);
@@ -291,11 +313,10 @@ TEST(QueueSimulatorTest, HighPriorityFlowsFavoured) {
 // ------------------------------------------------------- ECN in the sim
 
 TEST(QueueSimulatorTest, EcnMarksAreCountedAndDelivered) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 2000.0;
+  net::PacketGenerator::Config gc;
+  gc.arrivals.rate_pps = 2000.0;
   gc.ecn_capable_fraction = 1.0;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), 41);
+  auto gen = std::make_unique<net::PacketGenerator>(gc, 41);
   aqm::AnalogAqmConfig ac;
   ac.ecn_enabled = true;
   aqm::AnalogAqm policy(ac);

@@ -283,14 +283,15 @@ TEST(SynthesizeFrameTest, DeterministicBytes) {
 // -------------------------------------------------------- arrivals
 
 TEST(ArrivalProcessTest, PoissonIsMonotoneAtConfiguredRate) {
-  traffic::ArrivalConfig config;
+  net::ArrivalConfig config;
   config.rate_pps = 1000.0;
-  traffic::ArrivalProcess arrivals(config, 5);
+  RandomStream rng(5);
+  net::ArrivalProcess arrivals(config, rng);
   double prev = 0.0;
   constexpr int kEvents = 50'000;
   double last = 0.0;
   for (int i = 0; i < kEvents; ++i) {
-    const double t = arrivals.Next();
+    const double t = arrivals.Next(rng);
     EXPECT_GT(t, prev);
     prev = t;
     last = t;
@@ -299,37 +300,79 @@ TEST(ArrivalProcessTest, PoissonIsMonotoneAtConfiguredRate) {
   EXPECT_NEAR(last, kEvents / config.rate_pps, 0.05 * kEvents / 1000.0);
 }
 
-TEST(ArrivalProcessTest, OnOffProducesSilentGaps) {
-  traffic::ArrivalConfig config;
-  config.process = traffic::ArrivalConfig::Process::kOnOff;
-  config.rate_pps = 10'000.0;
-  config.burst_factor = 4.0;
-  config.mean_calm_dwell_s = 0.1;   // off
-  config.mean_burst_dwell_s = 0.02; // on
-  traffic::ArrivalProcess arrivals(config, 9);
-  double prev = 0.0;
-  double max_gap = 0.0;
-  for (int i = 0; i < 20'000; ++i) {
-    const double t = arrivals.Next();
-    EXPECT_GT(t, prev);
-    max_gap = std::max(max_gap, t - prev);
-    prev = t;
-  }
-  // Off periods mean 0.1 s vs on-state inter-arrivals of 25 us: silence
-  // gaps must dwarf burst gaps.
-  EXPECT_GT(max_gap, 0.01);
-}
-
 TEST(ArrivalProcessTest, MmppIsMonotone) {
-  traffic::ArrivalConfig config;
-  config.process = traffic::ArrivalConfig::Process::kMmpp;
-  traffic::ArrivalProcess arrivals(config, 21);
+  net::ArrivalConfig config;
+  config.process = net::ArrivalConfig::Process::kMmpp;
+  RandomStream rng(21);
+  net::ArrivalProcess arrivals(config, rng);
   double prev = 0.0;
   for (int i = 0; i < 10'000; ++i) {
-    const double t = arrivals.Next();
+    const double t = arrivals.Next(rng);
     EXPECT_GT(t, prev);
     prev = t;
   }
+}
+
+// --------------------------------------------------------- stream pins
+//
+// FNV-1a digests of the first 10^5 frames (bytes and arrival clock) of
+// the two workloads the forwarding benchmark synthesizes: IMIX over a
+// Zipf(1) population of 2^20 flows, and fixed 64 B frames. Any change
+// that moves a draw of the arrival clock, the flow sampler or the size
+// model changes a digest.
+
+class StreamDigest {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    AddBytes(bytes, sizeof(T));
+  }
+  void AddBytes(const unsigned char* bytes, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t LiveStreamDigest(traffic::WorkloadConfig::Sizes sizes) {
+  // The benchmark's per-port workload for seed 1, port 0.
+  traffic::WorkloadConfig w;
+  w.population.flows = 1u << 20;
+  w.population.seed = 1 ^ 0x5eedf10u;
+  w.zipf_s = 1.0;
+  w.arrivals.rate_pps = 1.0 / 64.0e-6 * 64.0;
+  w.sizes = sizes;
+  w.fixed_size_bytes = 64;
+  w.seed = 0x9e3779b97f4a7c15ull + 1;
+  traffic::TrafficSource source = traffic::TrafficSource::Live(w);
+  StreamDigest digest;
+  std::vector<net::Packet> packets;
+  for (int i = 0; i < 100'000; ++i) {
+    packets.clear();
+    double now_s = 0.0;
+    EXPECT_EQ(source.NextBatch(1, packets, now_s), 1u);
+    const std::vector<std::uint8_t>& bytes = packets.front().bytes();
+    digest.Add(bytes.size());
+    digest.AddBytes(bytes.data(), bytes.size());
+    digest.Add(now_s);
+  }
+  return digest.value();
+}
+
+TEST(StreamPinTest, LiveImixZipfMillionFlows) {
+  EXPECT_EQ(LiveStreamDigest(traffic::WorkloadConfig::Sizes::kImix),
+            0x1d49439a9385ccb6ULL);
+}
+
+TEST(StreamPinTest, LiveFixed64) {
+  EXPECT_EQ(LiveStreamDigest(traffic::WorkloadConfig::Sizes::kFixed),
+            0xc9bd733edd916ff8ULL);
 }
 
 // ---------------------------------------------------------- trace
