@@ -11,8 +11,9 @@
 //     immutable snapshot RCU-style (common/snapshot.hpp).
 //   * PortRuntime — one worker thread per port, draining a bounded
 //     mailbox of ingress batches and control commands into a private
-//     CognitiveSwitch built in shared-tables reader mode. Each batch
-//     acquires the published snapshots; each port keeps its own energy
+//     CognitiveSwitch that reads the group's SharedTables (a standalone
+//     switch reads its own the same way). Each batch acquires the
+//     published snapshots; each port keeps its own energy
 //     ledger, stats and telemetry (the worker registers a
 //     ThreadPool external slot so sharded counters stay exact).
 //   * SwitchGroup — the assembly: the controller thread stages and
@@ -58,7 +59,7 @@ class PortRuntime {
   // access to the port's switch.
   using Command = std::function<void(CognitiveSwitch&)>;
 
-  // Builds the port's switch in shared-tables reader mode and starts the
+  // Builds the port's switch as a reader of `tables` and starts the
   // worker. `tables` must outlive the runtime. `mailbox_depth` bounds
   // queued items; Submit blocks when full (backpressure, never drops).
   PortRuntime(SwitchConfig config, const SharedTables* tables,
@@ -84,6 +85,7 @@ class PortRuntime {
   // on the worker thread after each ring batch retires.
   struct RingBatchInfo {
     std::size_t packets = 0;
+    double now_s = 0.0;            // the batch's model arrival time
     std::uint64_t enqueue_ns = 0;  // producer stamp (0 if unset)
     std::uint64_t start_ns = 0;    // processing began (steady clock)
     std::uint64_t done_ns = 0;     // processing finished
@@ -131,6 +133,8 @@ class PortRuntime {
     RingHook hook;
   };
 
+  // Waits for mailbox space, then queues `item` for the worker.
+  void Enqueue(Item item);
   void WorkerLoop();
 
   CognitiveSwitch switch_;

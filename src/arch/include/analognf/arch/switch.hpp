@@ -137,12 +137,13 @@ class TrafficManagerStage;
 inline constexpr std::uint32_t kFirewallActionPermit = 1;
 inline constexpr std::uint32_t kFirewallActionDeny = 0;
 
-// Controller-owned digital match-action tables shared by every port of
-// a multi-port runtime (port_runtime.hpp). The controller thread stages
-// mutations (AddRoute/AddFirewallRule) and publishes them atomically
-// with Commit(); each port's data plane reads the published snapshots
-// concurrently and never blocks on a commit. One mutator thread at a
-// time; any number of reader ports.
+// The controller-owned digital match-action tables a switch's data plane
+// reads: a standalone CognitiveSwitch owns one, and every port of a
+// multi-port runtime (port_runtime.hpp) reads the group's. The
+// controller thread stages mutations (AddRoute/AddFirewallRule) and
+// publishes them atomically with Commit(); each data plane reads the
+// published snapshots and never blocks on a commit. One mutator thread
+// at a time; any number of reader ports.
 struct SharedTables {
   SharedTables(tcam::TcamTechnology technology, std::size_t port_count,
                tcam::TcamSearchConfig firewall_config = {},
@@ -171,35 +172,39 @@ struct SharedTables {
 
 class CognitiveSwitch {
  public:
+  // A standalone switch: it owns a SharedTables built from the config's
+  // digital technology and port count, and its data plane reads that
+  // table set exactly as a port of a multi-port runtime reads the
+  // group's.
   explicit CognitiveSwitch(SwitchConfig config);
-  // Shared-tables mode: the switch's firewall/route stages become
-  // concurrent readers of `shared` (which must outlive the switch);
-  // AddRoute/AddFirewallRule then throw — mutations go through the
-  // SharedTables owner — and the data plane never auto-commits.
+  // A reader switch over `shared` (which must outlive the switch): it
+  // owns no tables, so the table mutators below throw — mutations go
+  // through the SharedTables owner, which also commits. A null `shared`
+  // builds a standalone switch.
   CognitiveSwitch(SwitchConfig config, const SharedTables* shared);
 
   // ------------------------------------------------ control plane
   // Installs an IPv4 route (LPM) to an egress port; returns the route's
-  // stable index for WithdrawRoute. Throws std::logic_error in
-  // shared-tables mode.
+  // stable index for WithdrawRoute. Throws std::invalid_argument on a
+  // port outside the switch and std::logic_error on a reader switch.
   std::size_t AddRoute(std::uint32_t dst_ip, int prefix_len,
                        std::size_t port);
   // Stages withdrawal of a previously installed route. Throws
-  // std::logic_error in shared-tables mode.
+  // std::logic_error on a reader switch.
   void WithdrawRoute(std::size_t route_index);
   // Installs a firewall rule; higher priority wins; permit=false denies.
   // Returns the rule's stable index for EraseFirewallRule. Throws
-  // std::logic_error in shared-tables mode.
+  // std::logic_error on a reader switch.
   std::size_t AddFirewallRule(const FirewallPattern& pattern, bool permit,
                               std::int32_t priority);
   // Stages removal of a previously installed firewall rule. Throws
-  // std::logic_error in shared-tables mode.
+  // std::logic_error on a reader switch.
   void EraseFirewallRule(std::size_t rule_index);
-  // Publishes any staged route/firewall mutations of the owned tables.
-  // The data plane calls this automatically at batch entry, so the
-  // classic AddRoute-then-Inject flow keeps working; explicit calls let
-  // a caller pay the compile at a chosen instant. No-op in shared-tables
-  // mode (the SharedTables owner commits).
+  // Publishes any staged route/firewall mutations of the switch's own
+  // tables. The data plane calls this automatically at batch entry, so
+  // the classic AddRoute-then-Inject flow keeps working; explicit calls
+  // let a caller pay the compile at a chosen instant. No-op on a reader
+  // switch (the SharedTables owner commits).
   void Commit();
   // Inserts a custom stage immediately in front of the traffic manager
   // (the last stage). The stage's meter is bound in the stage ledger.
@@ -267,17 +272,25 @@ class CognitiveSwitch {
   };
 
   void BindTelemetry();
-  void RecordBatchTrace(double now_s);
+  // Commit, run the stage graph over `count` packets arriving at
+  // `now_s`, and record the batch's telemetry.
+  void RunBatch(const net::Packet* packets, std::size_t count, double now_s);
+  // `before` is the stats snapshot taken at batch entry; the batch's
+  // per-verdict counts are the difference.
+  void RecordBatchTrace(double now_s, const SwitchStats& before);
+  // The switch's own tables; throws std::logic_error on a reader switch.
+  SharedTables& OwnTables(const char* op);
 
   SwitchConfig config_;
-  const SharedTables* shared_tables_ = nullptr;
   energy::DataMovementModel movement_;
   SwitchStats stats_;
   energy::EnergyLedger ledger_;
   energy::EnergyLedger stage_ledger_;
-  // Declared before the graph: stages hold handles into the registry, so
-  // the registry must outlive them on destruction.
+  // Declared before the tables and the graph: their engines and stages
+  // hold handles into the registry, so the registry must outlive them on
+  // destruction.
   telemetry::Telemetry telemetry_;
+  std::unique_ptr<SharedTables> own_tables_;  // null on a reader switch
   VerdictCounters verdict_counters_;
   telemetry::CounterHandle batches_counter_;
   telemetry::GaugeHandle queue_depth_gauge_;

@@ -37,9 +37,7 @@ PortRuntime::~PortRuntime() {
   worker_.join();
 }
 
-void PortRuntime::Submit(Batch batch) {
-  Item item;
-  item.batch = std::move(batch);
+void PortRuntime::Enqueue(Item item) {
   std::unique_lock<std::mutex> lock(mutex_);
   cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
   mailbox_.push_back(std::move(item));
@@ -48,18 +46,19 @@ void PortRuntime::Submit(Batch batch) {
   cv_submit_.notify_one();
 }
 
+void PortRuntime::Submit(Batch batch) {
+  Item item;
+  item.batch = std::move(batch);
+  Enqueue(std::move(item));
+}
+
 void PortRuntime::Apply(Command command) {
   if (!command) {
     throw std::invalid_argument("PortRuntime::Apply: empty command");
   }
   Item item;
   item.command = std::move(command);
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
-  mailbox_.push_back(std::move(item));
-  ++in_flight_;
-  lock.unlock();
-  cv_submit_.notify_one();
+  Enqueue(std::move(item));
 }
 
 void PortRuntime::WaitIdle() {
@@ -75,24 +74,13 @@ void PortRuntime::AttachRing(IngressRing* ring, RingHook hook) {
   item.ring_op = true;
   item.ring = ring;
   item.hook = std::move(hook);
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
-  mailbox_.push_back(std::move(item));
-  ++in_flight_;
-  lock.unlock();
-  cv_submit_.notify_one();
+  Enqueue(std::move(item));
 }
 
 void PortRuntime::DetachRing() {
   Item item;
   item.ring_op = true;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
-    mailbox_.push_back(std::move(item));
-    ++in_flight_;
-  }
-  cv_submit_.notify_one();
+  Enqueue(std::move(item));
   // The detach lands behind any in-flight ring batch (the worker is
   // sequential), so idle here implies the worker is done with the ring.
   WaitIdle();
@@ -154,6 +142,7 @@ void PortRuntime::WorkerLoop() {
       if (ring_hook) {
         RingBatchInfo info;
         info.packets = batch.packets.size();
+        info.now_s = batch.now_s;
         info.enqueue_ns = batch.enqueue_ns;
         info.start_ns = start_ns;
         info.done_ns = SteadyNowNs();

@@ -1,6 +1,7 @@
 #include "analognf/arch/switch.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "analognf/arch/stages.hpp"
@@ -109,9 +110,13 @@ CognitiveSwitch::CognitiveSwitch(SwitchConfig config, const SharedTables* shared
         config.Validate();
         return config;
       }()),
-      shared_tables_(shared),
       movement_(),
-      telemetry_(config_.telemetry) {
+      telemetry_(config_.telemetry),
+      own_tables_(shared == nullptr
+                      ? std::make_unique<SharedTables>(
+                            config_.digital_technology, config_.port_count)
+                      : nullptr) {
+  const SharedTables& tables = shared != nullptr ? *shared : *own_tables_;
   // Build the Fig. 5 chain: parser, digital MATs, optional cognitive
   // analog MATs, and the traffic manager last (it owns the ordered
   // commit, so custom stages inserted via AddStage land in front of it).
@@ -119,19 +124,11 @@ CognitiveSwitch::CognitiveSwitch(SwitchConfig config, const SharedTables* shared
   parse_ = parse.get();
   graph_.Add(std::move(parse));
 
-  auto firewall =
-      shared_tables_ != nullptr
-          ? std::make_unique<FirewallStage>(&shared_tables_->firewall)
-          : std::make_unique<FirewallStage>(kFiveTupleBits,
-                                            config_.digital_technology);
+  auto firewall = std::make_unique<FirewallStage>(&tables.firewall);
   firewall_ = firewall.get();
   graph_.Add(std::move(firewall));
 
-  auto route = shared_tables_ != nullptr
-                   ? std::make_unique<RouteStage>(&shared_tables_->routes,
-                                                  config_.port_count)
-                   : std::make_unique<RouteStage>(config_.digital_technology,
-                                                  config_.port_count);
+  auto route = std::make_unique<RouteStage>(&tables.routes);
   route_ = route.get();
   graph_.Add(std::move(route));
 
@@ -162,8 +159,11 @@ void CognitiveSwitch::BindTelemetry() {
   if (!telemetry_.enabled()) return;
   telemetry::MetricsRegistry& registry = telemetry_.metrics();
   graph_.BindTelemetry(registry);
-  firewall_->BindTelemetry(registry);
-  route_->BindTelemetry(registry);
+  // A reader switch's tables are bound by their owner.
+  if (own_tables_ != nullptr) {
+    own_tables_->firewall.BindTelemetry(registry, "tcam.firewall");
+    own_tables_->routes.BindTelemetry(registry, "tcam.route");
+  }
   if (lb_ != nullptr) lb_->BindTelemetry(registry);
   if (classify_ != nullptr) classify_->BindTelemetry(registry);
 
@@ -184,32 +184,21 @@ void CognitiveSwitch::BindTelemetry() {
   batch_size_hist_ = registry.GetHistogram("switch.batch_size", batch_spec);
 }
 
-void CognitiveSwitch::RecordBatchTrace(double now_s) {
+void CognitiveSwitch::RecordBatchTrace(double now_s,
+                                       const SwitchStats& before) {
   telemetry::BatchTraceRecord rec;
   rec.now_s = now_s;
   rec.batch_size = static_cast<std::uint32_t>(batch_.size());
-  for (const Verdict v : batch_.verdicts) {
-    switch (v) {
-      case Verdict::kForwarded:
-        ++rec.forwarded;
-        break;
-      case Verdict::kParseError:
-        ++rec.parse_errors;
-        break;
-      case Verdict::kFirewallDeny:
-        ++rec.firewall_denies;
-        break;
-      case Verdict::kNoRoute:
-        ++rec.no_route;
-        break;
-      case Verdict::kAqmDrop:
-        ++rec.aqm_drops;
-        break;
-      case Verdict::kQueueFull:
-        ++rec.queue_full;
-        break;
-    }
-  }
+  // The traffic manager counted this batch's verdicts into stats_.
+  const auto batch_count = [&](std::uint64_t SwitchStats::*field) {
+    return static_cast<std::uint32_t>(stats_.*field - before.*field);
+  };
+  rec.forwarded = batch_count(&SwitchStats::forwarded);
+  rec.parse_errors = batch_count(&SwitchStats::parse_errors);
+  rec.firewall_denies = batch_count(&SwitchStats::firewall_denies);
+  rec.no_route = batch_count(&SwitchStats::no_route);
+  rec.aqm_drops = batch_count(&SwitchStats::aqm_drops);
+  rec.queue_full = batch_count(&SwitchStats::queue_full);
   rec.queue_depth = tm_->QueuedPackets();
 
   const std::vector<double>& stage_ns = graph_.last_stage_ns();
@@ -230,7 +219,7 @@ void CognitiveSwitch::RecordBatchTrace(double now_s) {
   rec.degree_max = deg.max;
   rec.degree_sum = deg.sum;
 
-  verdict_counters_.injected.Inc(batch_.size());
+  verdict_counters_.injected.Inc(batch_count(&SwitchStats::injected));
   verdict_counters_.forwarded.Inc(rec.forwarded);
   verdict_counters_.parse_errors.Inc(rec.parse_errors);
   verdict_counters_.firewall_denies.Inc(rec.firewall_denies);
@@ -244,29 +233,37 @@ void CognitiveSwitch::RecordBatchTrace(double now_s) {
   telemetry_.recorder().Record(rec);
 }
 
+SharedTables& CognitiveSwitch::OwnTables(const char* op) {
+  if (own_tables_ == nullptr) {
+    throw std::logic_error(std::string("CognitiveSwitch::") + op +
+                           ": reader switch — mutate the shared tables "
+                           "through their owner");
+  }
+  return *own_tables_;
+}
+
 std::size_t CognitiveSwitch::AddRoute(std::uint32_t dst_ip, int prefix_len,
                                       std::size_t port) {
-  return route_->AddRoute(dst_ip, prefix_len, port);
+  return OwnTables("AddRoute").AddRoute(dst_ip, prefix_len, port);
 }
 
 void CognitiveSwitch::WithdrawRoute(std::size_t route_index) {
-  route_->WithdrawRoute(route_index);
+  OwnTables("WithdrawRoute").WithdrawRoute(route_index);
 }
 
 std::size_t CognitiveSwitch::AddFirewallRule(const FirewallPattern& pattern,
                                              bool permit,
                                              std::int32_t priority) {
-  return firewall_->AddRule(pattern, permit, priority);
+  return OwnTables("AddFirewallRule").AddFirewallRule(pattern, permit,
+                                                      priority);
 }
 
 void CognitiveSwitch::EraseFirewallRule(std::size_t rule_index) {
-  firewall_->EraseRule(rule_index);
+  OwnTables("EraseFirewallRule").EraseFirewallRule(rule_index);
 }
 
 void CognitiveSwitch::Commit() {
-  if (shared_tables_ != nullptr) return;  // the tables' owner commits
-  firewall_->owned_table()->Commit();
-  route_->owned_routes()->Commit();
+  if (own_tables_ != nullptr) own_tables_->Commit();
 }
 
 MatchActionStage& CognitiveSwitch::AddStage(
@@ -279,20 +276,23 @@ void CognitiveSwitch::SetWrrWeights(const std::vector<std::uint32_t>& weights) {
 }
 
 Verdict CognitiveSwitch::Inject(const net::Packet& packet, double now_s) {
-  Commit();  // publish staged control-plane mutations at the batch boundary
-  batch_.Reset(&packet, 1, now_s);
-  graph_.Run(batch_);
-  if (telemetry_.enabled()) RecordBatchTrace(now_s);
+  RunBatch(&packet, 1, now_s);
   return batch_.verdicts.front();
 }
 
 std::vector<Verdict> CognitiveSwitch::InjectBatch(
     std::span<const net::Packet> packets, double now_s) {
-  Commit();  // publish staged control-plane mutations at the batch boundary
-  batch_.Reset(packets.data(), packets.size(), now_s);
-  graph_.Run(batch_);
-  if (telemetry_.enabled()) RecordBatchTrace(now_s);
+  RunBatch(packets.data(), packets.size(), now_s);
   return {batch_.verdicts.begin(), batch_.verdicts.end()};
+}
+
+void CognitiveSwitch::RunBatch(const net::Packet* packets, std::size_t count,
+                               double now_s) {
+  Commit();  // publish staged control-plane mutations at the batch boundary
+  const SwitchStats before = stats_;
+  batch_.Reset(packets, count, now_s);
+  graph_.Run(batch_);
+  if (telemetry_.enabled()) RecordBatchTrace(now_s, before);
 }
 
 std::vector<Delivery> CognitiveSwitch::Drain(double until_s) {

@@ -12,6 +12,11 @@
 // and in aggregate, and the switch's own stats() partition of
 // `injected` nests inside `achieved`.
 //
+// Egress: after each ring batch the worker drains the port's egress
+// queues up to the batch's model time, and the driver drains the rest
+// after the detach, so every forwarded packet is delivered by the end
+// of a run (stats.delivered == stats.forwarded).
+//
 // Determinism: with Overflow::kBlock nothing is ever dropped, so the
 // per-port packet stream, batch boundaries and injection clocks are a
 // pure function of the workload config — a live run recorded to traces

@@ -38,6 +38,7 @@ struct WorkerSide {
   analognf::P2Quantile p50{0.5};
   analognf::P2Quantile p99{0.99};
   telemetry::HistogramHandle batch_ns;
+  std::vector<arch::Delivery> deliveries;  // drain scratch, reused
 };
 
 }  // namespace
@@ -118,8 +119,10 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
     workers[p]->batch_ns = group.device(p).telemetry().metrics().GetHistogram(
         "ingress.batch_ns", telemetry::HistogramSpec{256.0, 2.0, 24});
     WorkerSide* w = workers[p].get();
+    arch::CognitiveSwitch* sw = &group.device(p);
     group.runtime(p).AttachRing(
-        rings[p].get(), [w](const arch::PortRuntime::RingBatchInfo& info) {
+        rings[p].get(),
+        [w, sw](const arch::PortRuntime::RingBatchInfo& info) {
           w->achieved_packets += info.packets;
           ++w->achieved_batches;
           const auto sojourn =
@@ -127,6 +130,10 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
           w->p50.Add(sojourn);
           w->p99.Add(sojourn);
           w->batch_ns.Observe(sojourn);
+          // Egress keeps pace with ingress: the port's links transmit
+          // everything that departs by the batch's model time.
+          w->deliveries.clear();
+          sw->DrainInto(info.now_s, w->deliveries);
         });
   }
 
@@ -171,12 +178,18 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
 
   // Drain protocol: producers are done, so waiting for ring-empty then
   // detaching guarantees every non-dropped batch was popped AND fully
-  // executed before we read the worker-side accounting.
+  // executed before we read the worker-side accounting. The ports are
+  // idle after that, so this thread transmits what is still queued.
   for (std::size_t p = 0; p < ports; ++p) {
     while (!rings[p]->Empty()) std::this_thread::yield();
     group.runtime(p).DetachRing();
   }
   group.WaitIdle();
+  for (std::size_t p = 0; p < ports; ++p) {
+    workers[p]->deliveries.clear();
+    group.device(p).DrainInto(std::numeric_limits<double>::infinity(),
+                              workers[p]->deliveries);
+  }
   const auto wall_stop = std::chrono::steady_clock::now();
 
   LoadReport report;

@@ -26,9 +26,11 @@
 #include "analognf/arch/stages.hpp"
 #include "analognf/arch/switch.hpp"
 #include "analognf/common/rng.hpp"
+#include "analognf/common/thread_pool.hpp"
 #include "analognf/net/packet.hpp"
 #include "analognf/net/parser.hpp"
 #include "analognf/tcam/tcam.hpp"
+#include "analognf/telemetry/metrics.hpp"
 
 namespace analognf::arch {
 namespace {
@@ -193,6 +195,10 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
   };
   std::vector<ReaderReport> reports(kReaders);
   std::atomic<bool> done{false};
+  // Readers that have finished their first search; the churn waits for
+  // all of them, so every reader overlaps it however the threads are
+  // scheduled.
+  std::atomic<std::size_t> readers_running{0};
 
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -223,9 +229,14 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
                                     got->priority == want->priority));
           if (!ok) ++rep.wrong_results;
         }
-        ++rep.iterations;
+        if (++rep.iterations == 1) {
+          readers_running.fetch_add(1, std::memory_order_release);
+        }
       }
     });
+  }
+  while (readers_running.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
 
   // Controller: random insert/erase churn, one commit per round.
@@ -428,8 +439,9 @@ TEST(SwitchGroupTest, FourPortsMatchFourSolosWithPrunedFirewall) {
 // policy's min_rows, so the controller's per-round rule churn publishes
 // patched snapshots, not recompiles. Every port must stay bit-identical
 // to a solo switch fed the same stream with the same mirrored mutations
-// (the solo's owned tables commit the identical staged sets at its own
-// batch boundaries).
+// (the solo's own tables commit the identical staged sets at its own
+// batch boundaries): stats, canonical and per-stage ledgers, and the
+// digital engines' search counters summed over the solos.
 TEST(SwitchGroupTest, DeltaCommitsUnderTrafficMatchSoloSwitches) {
   const SwitchConfig config = GroupConfig();
   constexpr std::size_t kPorts = 4;
@@ -442,6 +454,14 @@ TEST(SwitchGroupTest, DeltaCommitsUnderTrafficMatchSoloSwitches) {
     InstallLargeTables(*solos.back());
   }
   SwitchGroup group(kPorts, config);
+  // The group's tables report into a registry of their own, bound before
+  // the first commit like a solo switch's; its shard count covers every
+  // port worker's slot so the sharded counts stay exact.
+  telemetry::TelemetryConfig table_metrics_config;
+  table_metrics_config.shards = ThreadPool::SlotUpperBound() + kPorts;
+  telemetry::MetricsRegistry table_metrics(table_metrics_config);
+  group.tables().firewall.BindTelemetry(table_metrics, "tcam.firewall");
+  group.tables().routes.BindTelemetry(table_metrics, "tcam.route");
   InstallLargeTables(group);
   group.Commit();
 
@@ -521,6 +541,17 @@ TEST(SwitchGroupTest, DeltaCommitsUnderTrafficMatchSoloSwitches) {
     ExpectStatsEq(group.device(p).stats(), solos[p]->stats());
     EXPECT_DOUBLE_EQ(group.device(p).ledger().TotalJ(),
                      solos[p]->ledger().TotalJ());
+    // Every stage.<name> meter, bit for bit.
+    const auto& want_stages = solos[p]->stage_ledger().categories();
+    EXPECT_EQ(group.device(p).stage_ledger().categories().size(),
+              want_stages.size());
+    for (const auto& [name, total] : want_stages) {
+      const energy::CategoryTotal got =
+          group.device(p).stage_ledger().Of(name);
+      EXPECT_EQ(got.energy_j, total.energy_j) << "port " << p << " " << name;
+      EXPECT_EQ(got.operations, total.operations)
+          << "port " << p << " " << name;
+    }
     const SwitchStats& s = solos[p]->stats();
     want.injected += s.injected;
     want.forwarded += s.forwarded;
@@ -534,6 +565,26 @@ TEST(SwitchGroupTest, DeltaCommitsUnderTrafficMatchSoloSwitches) {
   }
   ExpectStatsEq(group.AggregateStats(), want);
   EXPECT_DOUBLE_EQ(group.TotalEnergyJ(), want_j);
+
+  // The solos' engines did the same searches as the group's shared ones.
+  const auto counter = [](const telemetry::MetricsRegistry& registry,
+                          const std::string& name) -> std::uint64_t {
+    for (const auto& c : registry.Snapshot().counters) {
+      if (c.name == name) return c.value;
+    }
+    ADD_FAILURE() << "counter not registered: " << name;
+    return 0;
+  };
+  for (const char* name :
+       {"tcam.firewall.searches", "tcam.firewall.rows_scanned",
+        "tcam.route.searches", "tcam.route.rows_scanned"}) {
+    std::uint64_t solo_total = 0;
+    for (const auto& solo : solos) {
+      solo_total += counter(solo->telemetry().metrics(), name);
+    }
+    EXPECT_GT(solo_total, 0u) << name;
+    EXPECT_EQ(counter(table_metrics, name), solo_total) << name;
+  }
 }
 
 // ------------------------------------------------- mailbox semantics

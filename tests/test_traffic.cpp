@@ -729,7 +729,11 @@ TEST(LoadDriverTest, BlockModeDropsNothing) {
   for (const traffic::PortLoadStats& ps : report.ports) {
     EXPECT_GT(ps.p99_batch_ns, 0.0);
     EXPECT_GE(ps.p99_batch_ns, 0.0);
+    // Egress is drained: every forwarded packet left its port.
+    EXPECT_GT(ps.stats.forwarded, 0u);
+    EXPECT_EQ(ps.stats.delivered, ps.stats.forwarded);
   }
+  EXPECT_EQ(report.stats.delivered, report.stats.forwarded);
 }
 
 // The tentpole determinism contract: a recorded live run and its replay
