@@ -93,11 +93,16 @@ class PortRuntime {
   using RingHook = std::function<void(const RingBatchInfo&)>;
 
   // Attaches `ring` as the worker's run-to-completion ingress: whenever
-  // the mailbox is empty the worker polls the ring and processes popped
-  // batches back-to-back. Mailbox items (Submit/Apply) still take
-  // priority, so control commands keep applying at batch boundaries.
-  // The attach itself travels the mailbox, so it also lands at a batch
-  // boundary. `ring` must stay alive until DetachRing() returns.
+  // the mailbox is empty the worker pops the ring and processes batches
+  // back-to-back; when both are empty it spins briefly, then parks on
+  // the ring's doorbell (SpscRing::Park). Pushes, mailbox items and
+  // teardown ring that bell, so an idle port sleeps without a poll
+  // timer and wakes as soon as work arrives. Mailbox items
+  // (Submit/Apply) still take priority, so control commands keep
+  // applying at batch boundaries. The attach itself travels the
+  // mailbox, so it also lands at a batch boundary. `ring` must stay
+  // alive until DetachRing() returns, or until the runtime is destroyed
+  // if it is never detached.
   void AttachRing(IngressRing* ring, RingHook hook = {});
   // Detaches the current ring. Blocks until the worker has retired any
   // in-flight ring batch and will no longer touch the ring; pending
@@ -125,9 +130,8 @@ class PortRuntime {
     Command command;  // non-null = control item, batch ignored
     // Ring control: when set, the worker swaps its ring pointer/hook to
     // these values (null detaches). Takes precedence over the fields
-    // above. Routed through the mailbox so the swap is a plain
-    // worker-local assignment at a batch boundary — no cross-thread
-    // pointer handoff to race on.
+    // above. Routed through the mailbox so the swap happens on the
+    // worker at a batch boundary.
     bool ring_op = false;
     IngressRing* ring = nullptr;
     RingHook hook;
@@ -140,11 +144,15 @@ class PortRuntime {
   CognitiveSwitch switch_;
   const std::size_t mailbox_depth_;
   std::mutex mutex_;
-  std::condition_variable cv_submit_;  // worker waits: work available
+  std::condition_variable cv_submit_;  // ringless worker waits: work
   std::condition_variable cv_state_;   // submitters wait: space / idle
   std::deque<Item> mailbox_;
   std::size_t in_flight_ = 0;  // queued + currently executing
   bool stop_ = false;
+  // The attached ring. Written only by the worker, under mutex_; read
+  // by the worker freely and by Enqueue()/~PortRuntime() under mutex_
+  // to ring its doorbell — so they never touch a detached ring.
+  IngressRing* ring_ = nullptr;
   std::atomic<std::size_t> slot_{0};
   std::thread worker_;  // last: starts after all state is ready
 };

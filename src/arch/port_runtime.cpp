@@ -32,6 +32,8 @@ PortRuntime::~PortRuntime() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
+    // A worker parked on a still-attached ring watches only its bell.
+    if (ring_ != nullptr) ring_->Wake();
   }
   cv_submit_.notify_all();
   worker_.join();
@@ -42,6 +44,9 @@ void PortRuntime::Enqueue(Item item) {
   cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
   mailbox_.push_back(std::move(item));
   ++in_flight_;
+  // The worker swaps ring_ under this mutex, so the ring rung here is
+  // attached (alive) and is the one a parked worker sleeps on.
+  if (ring_ != nullptr) ring_->Wake();
   lock.unlock();
   cv_submit_.notify_one();
 }
@@ -91,33 +96,36 @@ void PortRuntime::WorkerLoop() {
   // off every other thread's counter cells (exactness, not just
   // contention avoidance).
   slot_.store(ThreadPool::RegisterExternalSlot(), std::memory_order_release);
-  // Ring state is worker-local: it only changes by processing a ring_op
-  // mailbox item on this thread, so polling it costs no synchronisation.
-  IngressRing* ring = nullptr;
+  // Only this thread writes ring_ (under mutex_, as it pops a ring_op
+  // item), so it reads ring_ here without the lock. The hook is purely
+  // worker-local.
   RingHook ring_hook;
   std::size_t idle_spins = 0;
   for (;;) {
+    // Doorbell snapshot before looking for work: any push or mailbox
+    // item that lands after this read moves the bell and ends Park().
+    const std::uint32_t seen = ring_ != nullptr ? ring_->Bell() : 0;
     Item item;
     bool have_item = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (ring == nullptr) {
+      if (ring_ == nullptr) {
         cv_submit_.wait(lock, [this] { return stop_ || !mailbox_.empty(); });
       }
       if (!mailbox_.empty()) {
         item = std::move(mailbox_.front());
         mailbox_.pop_front();
         have_item = true;
+        if (item.ring_op) ring_ = item.ring;
       } else if (stop_) {
-        // Stop drains the mailbox but not an attached ring: whoever
-        // attached it is responsible for DetachRing() before teardown.
+        // Stop drains the mailbox but not an attached ring: batches
+        // still in it stay with whoever attached it.
         return;
       }
     }
     if (have_item) {
       cv_state_.notify_all();  // a mailbox slot freed up
       if (item.ring_op) {
-        ring = item.ring;
         ring_hook = std::move(item.hook);
       } else if (item.command) {
         item.command(switch_);
@@ -132,11 +140,11 @@ void PortRuntime::WorkerLoop() {
       idle_spins = 0;
       continue;
     }
-    // Mailbox empty, ring attached: run-to-completion poll. Mailbox
-    // items re-checked every iteration keep command latency bounded by
-    // one batch.
+    // Mailbox empty, ring attached: run to completion. Mailbox items
+    // re-checked every iteration keep command latency bounded by one
+    // batch.
     Batch batch;
-    if (ring->TryPop(batch)) {
+    if (ring_->TryPop(batch)) {
       const std::uint64_t start_ns = SteadyNowNs();
       switch_.InjectBatch(batch.packets, batch.now_s);
       if (ring_hook) {
@@ -152,16 +160,14 @@ void PortRuntime::WorkerLoop() {
       continue;
     }
     // Ring momentarily empty: spin briefly (producer is usually just
-    // behind), then back off to a timed wait so an idle ring does not
-    // burn a core. Producers never signal the condvar — the timeout is
-    // the re-poll tick.
+    // behind), then park on the ring's doorbell so an idle port sleeps
+    // until work arrives. The ring's producer, Enqueue() and the
+    // destructor all ring it (common/spsc_ring.hpp has the protocol).
     if (++idle_spins < 64) {
       std::this_thread::yield();
       continue;
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_submit_.wait_for(lock, std::chrono::microseconds(200),
-                        [this] { return stop_ || !mailbox_.empty(); });
+    ring_->Park(seen);
   }
 }
 

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -118,6 +121,74 @@ TEST(SpscRingTest, TwoThreadHandoff) {
   consumer.join();
   EXPECT_EQ(received, kCount);
   EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
+}
+
+// Park() marks the consumer parked and re-checks the ring before it
+// sleeps, so work queued after the bell was read never blocks it; a bell
+// that moved past `seen` returns at once too.
+TEST(SpscRingTest, ParkReturnsWhenNotEmpty) {
+  SpscRing<int> ring(4);
+  const std::uint32_t seen = ring.Bell();
+  EXPECT_TRUE(ring.TryPush(7));
+  ring.Park(seen);
+  int out = 0;
+  EXPECT_TRUE(ring.TryPop(out));
+  EXPECT_EQ(out, 7);
+  ring.Wake();
+  ring.Park(seen);
+  EXPECT_TRUE(ring.Empty());
+}
+
+// The lost-wakeup target: one item per round, pushed only after the
+// consumer retired the previous one, so nearly every push races a
+// consumer on its way into Park(). A missed wake shows as a round that
+// stalls for 5 s; the producer then rings the bell itself — and from
+// then on after 1 ms — so the test fails instead of hanging.
+TEST(SpscRingTest, ParkWakesOnPush) {
+  constexpr int kRounds = 10'000;
+  SpscRing<int> ring(2);
+  std::atomic<int> retired{0};
+  std::vector<int> received;
+  received.reserve(kRounds);
+  std::thread consumer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      int value = -1;
+      for (;;) {
+        const std::uint32_t seen = ring.Bell();
+        if (ring.TryPop(value)) break;
+        ring.Park(seen);
+      }
+      received.push_back(value);
+      retired.store(i + 1, std::memory_order_release);
+    }
+  });
+  int stalled_rounds = 0;
+  std::chrono::steady_clock::duration patience = std::chrono::seconds(5);
+  for (int i = 0; i < kRounds; ++i) {
+    int value = i;
+    // Alternate the two producer entry points; both ring the bell.
+    if (i % 2 == 0) {
+      EXPECT_TRUE(ring.TryPush(value));
+    } else {
+      EXPECT_EQ(ring.PushBatch(&value, 1), 1u);
+    }
+    auto deadline = std::chrono::steady_clock::now() + patience;
+    while (retired.load(std::memory_order_acquire) != i + 1) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ++stalled_rounds;
+        patience = std::chrono::milliseconds(1);
+        ring.Wake();
+        deadline = std::chrono::steady_clock::now() + patience;
+      }
+      std::this_thread::yield();
+    }
+  }
+  consumer.join();
+  EXPECT_EQ(stalled_rounds, 0);
+  ASSERT_EQ(received.size(), static_cast<std::size_t>(kRounds));
+  for (std::size_t i = 0; i < received.size(); ++i) {
+    EXPECT_EQ(received[i], static_cast<int>(i));
+  }
 }
 
 // ------------------------------------------------------------- Zipf
@@ -624,6 +695,148 @@ TEST(PortRuntimeRingTest, CommandsAndReattachDuringRingMode) {
   while (!ring.Empty()) std::this_thread::yield();
   group.runtime(0).DetachRing();
   EXPECT_EQ(group.device(0).stats().injected, 8u * 8u + 8u + 8u);
+}
+
+// ---- parked-worker wakeups
+// Each wake test runs kWakeRounds rounds of: leave the port idle far
+// longer than the worker's spin-before-park phase, fire one wake source,
+// and wait for its effect. A lost wakeup leaves the worker asleep; the
+// 5 s deadline turns that into a failure, and the test then nudges the
+// worker through the other wake paths so ctest does not hang.
+constexpr int kWakeRounds = 200;
+constexpr auto kParkIdle = std::chrono::milliseconds(1);
+
+struct ParkedPort {
+  // The ring and what the hook touches are declared before the group,
+  // so they outlive the worker even when a failed assertion skips
+  // DetachRing().
+  arch::PortRuntime::IngressRing ring{4};
+  std::atomic<int> retired{0};  // ring batches the hook has seen
+  std::vector<net::Packet> packets = RingTestBatches(1, 4).front();
+  std::unique_ptr<arch::SwitchGroup> group =
+      std::make_unique<arch::SwitchGroup>(1, RingTestSwitchConfig());
+
+  ParkedPort() { InstallRingTestTables(*group); }
+
+  arch::PortRuntime& runtime() { return group->runtime(0); }
+  void Attach() {
+    runtime().AttachRing(&ring,
+                         [this](const arch::PortRuntime::RingBatchInfo&) {
+                           retired.fetch_add(1, std::memory_order_relaxed);
+                         });
+  }
+  arch::PortRuntime::Batch Batch(int round) const {
+    arch::PortRuntime::Batch item;
+    item.packets = packets;
+    item.now_s = round * 1.0e-5;
+    return item;
+  }
+  // Waits up to 5 s for `done`. On timeout it nudges the worker through
+  // the other wake paths — one mailbox no-op (unless the group is being
+  // torn down) and an empty ring batch every millisecond — and returns
+  // false once `done` holds.
+  bool Await(const std::function<bool()>& done, bool nudge_mailbox = true) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        if (nudge_mailbox) runtime().Apply([](arch::CognitiveSwitch&) {});
+        while (!done()) {
+          ring.TryPush(arch::PortRuntime::Batch{});
+          std::this_thread::sleep_for(kParkIdle);
+        }
+        return false;
+      }
+      std::this_thread::yield();
+    }
+    return true;
+  }
+  bool AwaitRetired(int count) {
+    return Await([this, count] {
+      return retired.load(std::memory_order_relaxed) >= count;
+    });
+  }
+  // Runs `blocking` on its own thread and awaits its return.
+  bool AwaitReturn(const std::function<void()>& blocking,
+                   bool nudge_mailbox = true) {
+    auto returned = std::async(std::launch::async, blocking);
+    return Await(
+        [&returned] {
+          return returned.wait_for(std::chrono::seconds(0)) ==
+                 std::future_status::ready;
+        },
+        nudge_mailbox);
+  }
+};
+
+// Both producer entry points must wake a parked worker.
+void ExpectEveryPushWakes(
+    const std::function<bool(arch::PortRuntime::IngressRing&,
+                             arch::PortRuntime::Batch&)>& push) {
+  ParkedPort port;
+  port.Attach();
+  for (int round = 0; round < kWakeRounds; ++round) {
+    std::this_thread::sleep_for(kParkIdle);
+    arch::PortRuntime::Batch item = port.Batch(round);
+    ASSERT_TRUE(push(port.ring, item));
+    ASSERT_TRUE(port.AwaitRetired(round + 1)) << "round " << round;
+  }
+  port.runtime().DetachRing();
+  EXPECT_EQ(port.group->device(0).stats().injected, kWakeRounds * 4u);
+}
+
+TEST(PortRuntimeRingTest, ParkedWorkerWakesOnTryPush) {
+  ExpectEveryPushWakes([](auto& ring, auto& item) {
+    return ring.TryPush(item);
+  });
+}
+
+TEST(PortRuntimeRingTest, ParkedWorkerWakesOnPushBatch) {
+  ExpectEveryPushWakes([](auto& ring, auto& item) {
+    return ring.PushBatch(&item, 1) == 1;
+  });
+}
+
+// A mailbox command must wake a worker parked on its ring's doorbell.
+TEST(PortRuntimeRingTest, ParkedWorkerWakesOnApply) {
+  ParkedPort port;
+  port.Attach();
+  std::atomic<int> commands{0};
+  for (int round = 0; round < kWakeRounds; ++round) {
+    std::this_thread::sleep_for(kParkIdle);
+    port.runtime().Apply([&commands](arch::CognitiveSwitch&) {
+      commands.fetch_add(1, std::memory_order_relaxed);
+    });
+    ASSERT_TRUE(port.Await([&commands, round] {
+      return commands.load(std::memory_order_relaxed) == round + 1;
+    })) << "round " << round;
+  }
+  port.runtime().DetachRing();
+}
+
+// DetachRing() blocks until the worker processed the detach, so the
+// detach itself must wake the parked worker.
+TEST(PortRuntimeRingTest, ParkedWorkerWakesOnDetach) {
+  ParkedPort port;
+  for (int round = 0; round < kWakeRounds; ++round) {
+    port.Attach();
+    std::this_thread::sleep_for(kParkIdle);
+    ASSERT_TRUE(port.AwaitReturn([&port] { port.runtime().DetachRing(); }))
+        << "round " << round;
+  }
+}
+
+// Teardown without DetachRing(): the destructor must wake a worker
+// parked on the still-attached ring (which outlives the runtime).
+TEST(PortRuntimeRingTest, DestroyWithRingAttachedReturns) {
+  ParkedPort port;
+  port.Attach();
+  arch::PortRuntime::Batch item = port.Batch(0);
+  ASSERT_TRUE(port.ring.TryPush(item));
+  ASSERT_TRUE(port.AwaitRetired(1));
+  std::this_thread::sleep_for(kParkIdle);
+  EXPECT_TRUE(port.AwaitReturn([&port] { port.group.reset(); },
+                               /*nudge_mailbox=*/false));
 }
 
 // Control-plane commits racing ring-fed ingress across every port: the
