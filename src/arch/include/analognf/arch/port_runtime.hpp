@@ -14,8 +14,9 @@
 //     CognitiveSwitch that reads the group's SharedTables (a standalone
 //     switch reads its own the same way). Each batch acquires the
 //     published snapshots; each port keeps its own energy
-//     ledger, stats and telemetry (the worker registers a
-//     ThreadPool external slot so sharded counters stay exact).
+//     ledger, stats and telemetry (the worker registers a telemetry
+//     thread slot so sharded counters stay exact). Table searches run
+//     on this worker too: the ports are the only data-plane threads.
 //   * SwitchGroup — the assembly: the controller thread stages and
 //     commits table updates and broadcasts pCAM reprogramming commands;
 //     data sources submit batches per port. Commands apply at batch
@@ -60,10 +61,9 @@ class PortRuntime {
   using Command = std::function<void(CognitiveSwitch&)>;
 
   // Builds the port's switch as a reader of `tables` and starts the
-  // worker. `tables` must outlive the runtime. `mailbox_depth` bounds
-  // queued items; Submit blocks when full (backpressure, never drops).
-  PortRuntime(SwitchConfig config, const SharedTables* tables,
-              std::size_t mailbox_depth = 8);
+  // worker. `tables` must outlive the runtime. The mailbox is bounded;
+  // Submit blocks when it is full (backpressure, never drops).
+  PortRuntime(SwitchConfig config, const SharedTables* tables);
   ~PortRuntime();
 
   PortRuntime(const PortRuntime&) = delete;
@@ -118,8 +118,8 @@ class PortRuntime {
   CognitiveSwitch& device() { return switch_; }
   const CognitiveSwitch& device() const { return switch_; }
 
-  // The worker's registered telemetry slot (ThreadPool::CurrentSlot()
-  // value on the worker); 0 until the worker has started up.
+  // The worker's registered telemetry slot (telemetry::CurrentThreadSlot()
+  // on the worker); 0 until the worker has started up.
   std::size_t worker_slot() const {
     return slot_.load(std::memory_order_acquire);
   }
@@ -142,7 +142,6 @@ class PortRuntime {
   void WorkerLoop();
 
   CognitiveSwitch switch_;
-  const std::size_t mailbox_depth_;
   std::mutex mutex_;
   std::condition_variable cv_submit_;  // ringless worker waits: work
   std::condition_variable cv_state_;   // submitters wait: space / idle

@@ -64,7 +64,7 @@ class ParseStage final : public MatchActionStage {
 //
 // The stage is a *reader* of a table its switch's control plane owns
 // (SharedTables): each batch acquires the published snapshot and
-// searches its engine with the stage's own scratch, so any number of
+// searches its engine with the stage's own buffers, so any number of
 // port threads can run against one table while the controller commits.
 // The snapshot pins the row set and the per-search energy for the whole
 // batch; the stage never touches the table's accounting state.
@@ -78,11 +78,10 @@ class FirewallStage final : public MatchActionStage {
  private:
   const tcam::TcamTable* table_;
   // Batch scratch (reused, never shrinks): eligible packet indices,
-  // their compacted keys, and the search state and hits (per-stage, so
-  // per-port: never contended).
+  // their compacted keys, and the hits (per-stage, so per-port: never
+  // contended).
   std::vector<std::size_t> eligible_;
   std::vector<tcam::BitKey> keys_;
-  tcam::TcamSearchScratch scratch_;
   std::vector<std::optional<tcam::TcamEngineHit>> hits_;
 };
 

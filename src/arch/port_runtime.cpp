@@ -5,9 +5,13 @@
 #include <utility>
 
 #include "analognf/arch/controller.hpp"
-#include "analognf/common/thread_pool.hpp"
+#include "analognf/telemetry/metrics.hpp"
 
 namespace {
+
+// Queued mailbox items per port; Submit blocks when full (backpressure,
+// never drops).
+constexpr std::size_t kMailboxDepth = 8;
 
 std::uint64_t SteadyNowNs() {
   return static_cast<std::uint64_t>(
@@ -22,10 +26,8 @@ namespace analognf::arch {
 
 // ------------------------------------------------------------ PortRuntime
 
-PortRuntime::PortRuntime(SwitchConfig config, const SharedTables* tables,
-                         std::size_t mailbox_depth)
+PortRuntime::PortRuntime(SwitchConfig config, const SharedTables* tables)
     : switch_(std::move(config), tables),
-      mailbox_depth_(mailbox_depth == 0 ? 1 : mailbox_depth),
       worker_([this] { WorkerLoop(); }) {}
 
 PortRuntime::~PortRuntime() {
@@ -41,7 +43,7 @@ PortRuntime::~PortRuntime() {
 
 void PortRuntime::Enqueue(Item item) {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
+  cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxDepth; });
   mailbox_.push_back(std::move(item));
   ++in_flight_;
   // The worker swaps ring_ under this mutex, so the ring rung here is
@@ -95,7 +97,7 @@ void PortRuntime::WorkerLoop() {
   // A process-unique slot keeps this thread's sharded telemetry writes
   // off every other thread's counter cells (exactness, not just
   // contention avoidance).
-  slot_.store(ThreadPool::RegisterExternalSlot(), std::memory_order_release);
+  slot_.store(telemetry::RegisterThreadSlot(), std::memory_order_release);
   // Only this thread writes ring_ (under mutex_, as it pops a ring_op
   // item), so it reads ring_ here without the lock. The hook is purely
   // worker-local.
@@ -178,11 +180,11 @@ SwitchGroup::SwitchGroup(std::size_t ports, SwitchConfig config)
   if (ports == 0) {
     throw std::invalid_argument("SwitchGroup: zero ports");
   }
-  // Widen the default telemetry shard count so every worker's external
-  // slot (registered after construction) still gets its own cell. An
+  // Widen the default telemetry shard count so every worker's slot
+  // (registered after construction) still gets its own cell. An
   // explicit shard count is left alone.
   if (config.telemetry.shards == 0) {
-    config.telemetry.shards = ThreadPool::SlotUpperBound() + ports;
+    config.telemetry.shards = telemetry::ThreadSlotUpperBound() + ports;
   }
   runtimes_.reserve(ports);
   for (std::size_t p = 0; p < ports; ++p) {

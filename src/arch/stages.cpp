@@ -72,7 +72,7 @@ void FirewallStage::Process(net::PacketBatch& batch) {
   keys_.resize(m);
   energy::CategoryTotal& meter = stage_meter();
   const auto snap = table_->snapshot();
-  snap->engine.SearchBatch(keys_.data(), keys_.size(), hits_, scratch_);
+  snap->engine.SearchBatch(keys_.data(), keys_.size(), hits_);
   batch.firewall_search_j = snap->search_energy_j;
   for (std::size_t j = 0; j < eligible_.size(); ++j) {
     const std::size_t i = eligible_[j];

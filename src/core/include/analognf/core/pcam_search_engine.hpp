@@ -21,11 +21,10 @@
 //     refresh, reusing all scratch buffers and (for noisy channels)
 //     drawing each cell's channel-noise samples for the whole batch in
 //     one TransmitBatch call.
-//   * Threading: for tables with at least `thread_row_threshold` rows,
-//     stateless-channel searches shard row ranges across the shared
-//     ThreadPool. Row products are computed independently per row and
-//     shard arg-maxes merge in ascending order, so results are identical
-//     to the single-threaded pass.
+//   * Threading: every search runs on the thread that calls it (in the
+//     switch, the port's worker); the engine starts no threads of its
+//     own. The all-rows-at-once shape lives in the column sweeps, not in
+//     a fork across cores.
 //
 // Semantics: with a stateless channel (no AWGN, no crosstalk) the engine
 // reproduces the scalar PcamWord-walk bit-for-bit modulo floating-point
@@ -49,14 +48,6 @@ class PcamWord;
 
 // Tuning knobs for the engine, per table.
 struct PcamSearchConfig {
-  // Row count at which stateless searches start sharding across the
-  // shared thread pool. Small tables stay single-threaded: the fork/join
-  // handshake costs more than the scan.
-  std::size_t thread_row_threshold = 8192;
-  // Upper bound on shards (0 = one per available core). Values > 1 force
-  // the sharded code path even on a single-core host, which keeps the
-  // merge logic testable everywhere.
-  std::size_t max_threads = 0;
   // Rows per bank for banked pre-selection (0 = unbanked, the default).
   // A banked array splits its rows into fixed-size banks, each with its
   // own conductance columns; before a search drives a bank, cheap
@@ -69,8 +60,6 @@ struct PcamSearchConfig {
   // stateless channel: stateful channels must advance every cell's noise
   // stream, so no row may be skipped.
   std::size_t bank_rows = 0;
-
-  void Validate() const;  // throws std::invalid_argument
 };
 
 // One query's outcome. Per-row degrees land in the caller's buffer.
@@ -157,13 +146,12 @@ class PcamSearchEngine {
   void Refresh(const std::vector<PcamWord>& words);
   void RefreshRow(const std::vector<PcamWord>& words, std::size_t row);
   void RefreshBankMeta();
-  std::size_t ShardCount() const;
 
   // Transfer function of cell (row, field) at line voltage `v`;
   // bit-compatible with PcamCell::Evaluate on the effective params.
   double EvalCell(const FieldColumn& c, std::size_t row, double v) const;
 
-  // Stateless-channel fast path: whole-column passes, optionally sharded.
+  // Stateless-channel fast path: whole-column passes.
   void SearchStateless(const double* query, std::vector<double>& degrees,
                        PcamSearchOutcome& out);
   // Banked stateless path: per-bank skip test, driven banks swept with
@@ -205,8 +193,6 @@ class PcamSearchEngine {
   // Scratch reused across calls (never shrinks).
   std::vector<double> line_v_;           // per-field line voltages
   std::vector<double> batch_in_, batch_line_, batch_deg_;
-  std::vector<std::size_t> shard_best_;
-  std::vector<double> shard_degree_;
 
   telemetry::SearchEngineCounters telemetry_;
 };

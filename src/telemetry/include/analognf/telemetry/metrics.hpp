@@ -3,13 +3,17 @@
 //
 // The batched pCAM/TCAM hot paths must stay contention-free, so every
 // counter and histogram is *thread-sharded*: one cache-line-padded cell
-// per ThreadPool slot (ThreadPool::CurrentSlot() — 0 for the caller,
-// 1 + i for pool worker i), aggregated only when a snapshot is taken.
+// per thread slot (CurrentThreadSlot() — 0 for any unregistered thread,
+// a process-unique slot >= 1 for a thread that called
+// RegisterThreadSlot), aggregated only when a snapshot is taken.
+// Searches run on the thread that calls them, so in the switch the
+// writers are the port workers, and each registers its own slot.
 // Writers touch their own cache line with relaxed atomics; there is no
 // cross-thread write sharing on the hot path. Counts are exact while
-// each slot has at most one concurrent writer (the ThreadPool contract
-// when the shard count covers the pool); beyond that they degrade to
-// statistical per-CPU-style counters rather than serializing writers.
+// each slot has at most one concurrent writer (every writer registered
+// and the shard count covering ThreadSlotUpperBound()); beyond that
+// they degrade to statistical per-CPU-style counters rather than
+// serializing writers.
 //
 // Instrumented code holds *handles* (CounterHandle, GaugeHandle,
 // HistogramHandle), not metrics: a handle from a disabled registry is
@@ -24,6 +28,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -31,9 +36,34 @@
 #include <string>
 #include <vector>
 
-#include "analognf/common/thread_pool.hpp"
-
 namespace analognf::telemetry {
+
+namespace internal {
+
+inline thread_local std::size_t current_thread_slot = 0;
+
+}  // namespace internal
+
+// Slot of the calling thread: 0 for any thread that never called
+// RegisterThreadSlot, otherwise the slot that call returned. Sharded
+// metrics index their cells with it.
+inline std::size_t CurrentThreadSlot() {
+  return internal::current_thread_slot;
+}
+
+// Assigns the calling thread a slot >= 1 that no other registered
+// thread uses, so its sharded metric writes never contend (or merge)
+// with another thread's. Long-lived threads that write metrics on the
+// hot path (the per-port runtime workers) call this once at startup;
+// without it every thread lands on slot 0 and two such writers share
+// one cell. Idempotent: repeat calls keep the first assignment. Returns
+// the slot.
+std::size_t RegisterThreadSlot();
+
+// Upper bound (exclusive) on slots handed out so far: slot 0 plus every
+// registered thread. Sizing a sharded metric to at least this (rounded
+// up to a power of two) keeps registered threads from aliasing.
+std::size_t ThreadSlotUpperBound();
 
 // Fixed log-spaced histogram buckets: finite bucket i spans
 // (bound[i-1], bound[i]] with bound[i] = first_bound * growth^i, plus an
@@ -51,9 +81,8 @@ struct TelemetryConfig {
   // and never allocates a metric.
   bool enabled = true;
   // Counter/histogram shard cells (rounded up to a power of two);
-  // 0 = one per slot handed out so far (shared-pool workers + slot 0 +
-  // threads registered via ThreadPool::RegisterExternalSlot at registry
-  // construction time).
+  // 0 = one per slot handed out so far (slot 0 + threads registered via
+  // RegisterThreadSlot at registry construction time).
   std::size_t shards = 0;
   // Flight-recorder ring capacity in batch records (rounded up to a
   // power of two); 0 disables the recorder.
@@ -79,21 +108,21 @@ inline void AtomicAdd(std::atomic<double>& a, double x) {
 
 }  // namespace internal
 
-// Monotonic event count, sharded across ThreadPool slots.
+// Monotonic event count, sharded across thread slots.
 class Counter {
  public:
   explicit Counter(std::size_t shards);
 
   void Inc(std::uint64_t n = 1) {
-    // Relaxed load+store, not fetch_add: each ThreadPool slot owns its
+    // Relaxed load+store, not fetch_add: each registered thread owns its
     // cell (given enough shards), so there is no concurrent writer to
     // lose an update to, and the per-packet cost is a plain add instead
-    // of a locked RMW. If more threads write than there are cells (a
-    // custom pool larger than the shard count, or several non-pool
+    // of a locked RMW. If more threads write than there are cells (more
+    // registered writers than the shard count, or several unregistered
     // threads sharing slot 0), counts become statistical — never UB,
     // never torn, possibly slightly under.
     std::atomic<std::uint64_t>& cell =
-        cells_[ThreadPool::CurrentSlot() & mask_].value;
+        cells_[CurrentThreadSlot() & mask_].value;
     cell.store(cell.load(std::memory_order_relaxed) + n,
                std::memory_order_relaxed);
   }
@@ -118,13 +147,13 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Log-spaced-bucket histogram, sharded across ThreadPool slots.
+// Log-spaced-bucket histogram, sharded across thread slots.
 class Histogram {
  public:
   Histogram(HistogramSpec spec, std::size_t shards);
 
   void Observe(double x) {
-    Shard& s = shards_[ThreadPool::CurrentSlot() & mask_];
+    Shard& s = shards_[CurrentThreadSlot() & mask_];
     s.counts[BucketOf(x)].fetch_add(1, std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
     internal::AtomicAdd(s.sum, x);

@@ -6,6 +6,9 @@ namespace analognf::telemetry {
 
 namespace {
 
+// Threads that have called RegisterThreadSlot so far.
+std::atomic<std::size_t> registered_thread_slots{0};
+
 std::size_t RoundUpPow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -13,6 +16,18 @@ std::size_t RoundUpPow2(std::size_t n) {
 }
 
 }  // namespace
+
+std::size_t RegisterThreadSlot() {
+  if (internal::current_thread_slot == 0) {
+    internal::current_thread_slot =
+        1 + registered_thread_slots.fetch_add(1, std::memory_order_relaxed);
+  }
+  return internal::current_thread_slot;
+}
+
+std::size_t ThreadSlotUpperBound() {
+  return 1 + registered_thread_slots.load(std::memory_order_relaxed);
+}
 
 void HistogramSpec::Validate() const {
   if (!(first_bound > 0.0)) {
@@ -115,12 +130,12 @@ void Histogram::Reset() {
 
 MetricsRegistry::MetricsRegistry(TelemetryConfig config) : config_(config) {
   config_.Validate();
-  // Default shard count covers every slot handed out so far: shared-pool
-  // workers, slot 0, and threads registered via RegisterExternalSlot.
-  // Register external threads before building the registry (the port
-  // runtime does) or pass config.shards explicitly.
+  // Default shard count covers every slot handed out so far: slot 0 and
+  // threads registered via RegisterThreadSlot. Register writer threads
+  // before building the registry or pass config.shards explicitly
+  // (SwitchGroup widens it for the workers it is about to start).
   const std::size_t want =
-      config_.shards != 0 ? config_.shards : ThreadPool::SlotUpperBound();
+      config_.shards != 0 ? config_.shards : ThreadSlotUpperBound();
   shards_ = RoundUpPow2(want);
 }
 

@@ -26,7 +26,6 @@
 #include "analognf/arch/stages.hpp"
 #include "analognf/arch/switch.hpp"
 #include "analognf/common/rng.hpp"
-#include "analognf/common/thread_pool.hpp"
 #include "analognf/net/packet.hpp"
 #include "analognf/net/parser.hpp"
 #include "analognf/tcam/tcam.hpp"
@@ -103,20 +102,21 @@ void InstallTables(auto& sw) {
   sw.AddFirewallRule(FirewallPattern{}, true, 1);
 }
 
-// 1024-rule ACL: the same deny-666/permit semantics as InstallTables,
-// but with enough specific rules that the firewall TCAM compiles to the
-// pruned match tier. The /32 source permits cover (and exceed) the
-// 1.1.x.y space MakeTrafficMix draws from, so they really match.
-void InstallLargeTables(auto& sw) {
+// A `rules`-rule ACL (>= 2): the same deny-666/permit semantics as
+// InstallTables, but with enough specific rules that the firewall TCAM
+// compiles to the pruned match tier. At 1024 rules and up the /32
+// source permits cover (and exceed) the 1.1.x.y space MakeTrafficMix
+// draws from, so they really match.
+void InstallLargeTables(auto& sw, std::size_t rules) {
   sw.AddRoute(net::ParseIpv4("10.0.0.0"), 24, 0);
   sw.AddRoute(net::ParseIpv4("10.0.0.8"), 29, 1);
   FirewallPattern deny;
   deny.dst_port = 666;
   deny.any_dst_port = false;
   sw.AddFirewallRule(deny, false, 10);
-  for (std::uint32_t i = 0; i < 1022; ++i) {
+  for (std::size_t i = 0; i + 2 < rules; ++i) {
     FirewallPattern p;
-    p.src_ip = net::ParseIpv4("1.1.0.0") + i;
+    p.src_ip = net::ParseIpv4("1.1.0.0") + static_cast<std::uint32_t>(i);
     p.src_prefix_len = 32;
     sw.AddFirewallRule(p, true, 5);
   }
@@ -204,7 +204,6 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
   readers.reserve(kReaders);
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      tcam::TcamSearchScratch scratch;
       ReaderReport& rep = reports[r];
       std::uint64_t last_epoch = 0;
       while (!done.load(std::memory_order_acquire)) {
@@ -220,7 +219,7 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
         last_epoch = snap->epoch;
         const auto& want_row = expected[snap->epoch];
         for (std::size_t k = 0; k < kProbes; ++k) {
-          const auto got = snap->engine.Search(keys[k], scratch);
+          const auto got = snap->engine.Search(keys[k]);
           const auto& want = want_row[k];
           const bool ok =
               got.has_value() == want.has_value() &&
@@ -364,74 +363,79 @@ TEST(SwitchGroupTest, FourPortsMatchFourSoloSwitches) {
   EXPECT_DOUBLE_EQ(group.TotalEnergyJ(), want_j);
 }
 
-// Same 4-port bit-identity contract, but over a 1024-rule firewall that
-// compiles to the pruned match tier: the tier (and its SIMD kernels)
-// must not perturb verdicts, stats, or energy attribution anywhere in
-// the concurrent runtime.
+// Same 4-port bit-identity contract, but over a firewall that compiles
+// to the pruned match tier: the tier (and its SIMD kernels) must not
+// perturb verdicts, stats, or energy attribution anywhere in the
+// concurrent runtime. At 8192 rules the four workers each search a
+// large table at once, every search on its own worker thread.
 TEST(SwitchGroupTest, FourPortsMatchFourSolosWithPrunedFirewall) {
   const SwitchConfig config = GroupConfig();
   constexpr std::size_t kPorts = 4;
 
-  std::vector<std::unique_ptr<CognitiveSwitch>> solos;
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    solos.push_back(std::make_unique<CognitiveSwitch>(config));
-    InstallLargeTables(*solos.back());
-  }
-  SwitchGroup group(kPorts, config);
-  InstallLargeTables(group);
-  group.Commit();
-
-  std::vector<std::vector<net::Packet>> streams;
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    streams.push_back(MakeTrafficMix(256, 2000 + p));
-  }
-  constexpr std::size_t kBatch = 64;
-  double now_s = 0.0;
-  for (std::size_t off = 0; off < 256; off += kBatch) {
+  for (const std::size_t rules : {std::size_t{1024}, std::size_t{8192}}) {
+    SCOPED_TRACE(rules);
+    std::vector<std::unique_ptr<CognitiveSwitch>> solos;
     for (std::size_t p = 0; p < kPorts; ++p) {
-      solos[p]->InjectBatch(
-          std::span<const net::Packet>(streams[p]).subspan(off, kBatch),
-          now_s);
-      std::vector<net::Packet> chunk(
-          streams[p].begin() + static_cast<long>(off),
-          streams[p].begin() + static_cast<long>(off + kBatch));
-      group.Submit(p, std::move(chunk), now_s);
+      solos.push_back(std::make_unique<CognitiveSwitch>(config));
+      InstallLargeTables(*solos.back(), rules);
     }
-    now_s += 1.0e-4;
-  }
-  group.WaitIdle();
+    SwitchGroup group(kPorts, config);
+    InstallLargeTables(group, rules);
+    group.Commit();
 
-  // The rule set must actually have engaged the pruned tier, or this
-  // test degenerates into the plain 4-port one.
-  const FirewallStage* fw = nullptr;
-  for (const auto& stage : solos[0]->graph().stages()) {
-    if (stage->name() == "firewall") {
-      fw = dynamic_cast<const FirewallStage*>(stage.get());
+    std::vector<std::vector<net::Packet>> streams;
+    for (std::size_t p = 0; p < kPorts; ++p) {
+      streams.push_back(MakeTrafficMix(256, 2000 + p));
     }
-  }
-  ASSERT_NE(fw, nullptr);
-  ASSERT_EQ(fw->table().snapshot()->engine.tier(),
-            tcam::TcamMatchTier::kPruned);
+    constexpr std::size_t kBatch = 64;
+    double now_s = 0.0;
+    for (std::size_t off = 0; off < 256; off += kBatch) {
+      for (std::size_t p = 0; p < kPorts; ++p) {
+        solos[p]->InjectBatch(
+            std::span<const net::Packet>(streams[p]).subspan(off, kBatch),
+            now_s);
+        std::vector<net::Packet> chunk(
+            streams[p].begin() + static_cast<long>(off),
+            streams[p].begin() + static_cast<long>(off + kBatch));
+        group.Submit(p, std::move(chunk), now_s);
+      }
+      now_s += 1.0e-4;
+    }
+    group.WaitIdle();
 
-  SwitchStats want;
-  double want_j = 0.0;
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    ExpectStatsEq(group.device(p).stats(), solos[p]->stats());
-    EXPECT_DOUBLE_EQ(group.device(p).ledger().TotalJ(),
-                     solos[p]->ledger().TotalJ());
-    const SwitchStats& s = solos[p]->stats();
-    want.injected += s.injected;
-    want.forwarded += s.forwarded;
-    want.parse_errors += s.parse_errors;
-    want.firewall_denies += s.firewall_denies;
-    want.no_route += s.no_route;
-    want.aqm_drops += s.aqm_drops;
-    want.queue_full += s.queue_full;
-    want.delivered += s.delivered;
-    want_j += solos[p]->ledger().TotalJ();
+    // The rule set must actually have engaged the pruned tier, or this
+    // test degenerates into the plain 4-port one.
+    const FirewallStage* fw = nullptr;
+    for (const auto& stage : solos[0]->graph().stages()) {
+      if (stage->name() == "firewall") {
+        fw = dynamic_cast<const FirewallStage*>(stage.get());
+      }
+    }
+    ASSERT_NE(fw, nullptr);
+    ASSERT_EQ(fw->table().size(), rules);
+    ASSERT_EQ(fw->table().snapshot()->engine.tier(),
+              tcam::TcamMatchTier::kPruned);
+
+    SwitchStats want;
+    double want_j = 0.0;
+    for (std::size_t p = 0; p < kPorts; ++p) {
+      ExpectStatsEq(group.device(p).stats(), solos[p]->stats());
+      EXPECT_DOUBLE_EQ(group.device(p).ledger().TotalJ(),
+                       solos[p]->ledger().TotalJ());
+      const SwitchStats& s = solos[p]->stats();
+      want.injected += s.injected;
+      want.forwarded += s.forwarded;
+      want.parse_errors += s.parse_errors;
+      want.firewall_denies += s.firewall_denies;
+      want.no_route += s.no_route;
+      want.aqm_drops += s.aqm_drops;
+      want.queue_full += s.queue_full;
+      want.delivered += s.delivered;
+      want_j += solos[p]->ledger().TotalJ();
+    }
+    ExpectStatsEq(group.AggregateStats(), want);
+    EXPECT_DOUBLE_EQ(group.TotalEnergyJ(), want_j);
   }
-  ExpectStatsEq(group.AggregateStats(), want);
-  EXPECT_DOUBLE_EQ(group.TotalEnergyJ(), want_j);
 }
 
 // Delta commits landing between batch rounds of live 4-port traffic:
@@ -451,18 +455,18 @@ TEST(SwitchGroupTest, DeltaCommitsUnderTrafficMatchSoloSwitches) {
   std::vector<std::unique_ptr<CognitiveSwitch>> solos;
   for (std::size_t p = 0; p < kPorts; ++p) {
     solos.push_back(std::make_unique<CognitiveSwitch>(config));
-    InstallLargeTables(*solos.back());
+    InstallLargeTables(*solos.back(), 1024);
   }
   SwitchGroup group(kPorts, config);
   // The group's tables report into a registry of their own, bound before
   // the first commit like a solo switch's; its shard count covers every
   // port worker's slot so the sharded counts stay exact.
   telemetry::TelemetryConfig table_metrics_config;
-  table_metrics_config.shards = ThreadPool::SlotUpperBound() + kPorts;
+  table_metrics_config.shards = telemetry::ThreadSlotUpperBound() + kPorts;
   telemetry::MetricsRegistry table_metrics(table_metrics_config);
   group.tables().firewall.BindTelemetry(table_metrics, "tcam.firewall");
   group.tables().routes.BindTelemetry(table_metrics, "tcam.route");
-  InstallLargeTables(group);
+  InstallLargeTables(group, 1024);
   group.Commit();
 
   std::vector<std::vector<net::Packet>> streams;

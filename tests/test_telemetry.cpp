@@ -16,7 +16,6 @@
 
 #include "analognf/arch/stages.hpp"
 #include "analognf/arch/switch.hpp"
-#include "analognf/common/thread_pool.hpp"
 #include "analognf/net/packet.hpp"
 #include "analognf/telemetry/export.hpp"
 #include "analognf/telemetry/flight_recorder.hpp"
@@ -118,15 +117,32 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
 }
 
 TEST(MetricsRegistryTest, CounterSumsAcrossPoolThreads) {
-  // Counts are exact as long as every ThreadPool slot maps to its own
-  // cell, so size the shards to cover the pool (3 workers + caller).
-  TelemetryConfig config;
-  config.shards = 4;
-  MetricsRegistry registry(config);
-  auto c = registry.GetCounter("c");
-  ThreadPool pool(3);
-  pool.ParallelFor(10000, [&](std::size_t) { c.Inc(); });
-  EXPECT_EQ(CounterValue(registry.Snapshot(), "c"), 10000u);
+  // Counts are exact as long as every writer owns its own cell: three
+  // threads register slots before the registry is sized to cover them.
+  constexpr std::size_t kWriters = 3;
+  constexpr std::uint64_t kPerWriter = 10000;
+  std::atomic<std::size_t> registered{0};
+  std::atomic<bool> start{false};
+  telemetry::CounterHandle c;
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      telemetry::RegisterThreadSlot();
+      registered.fetch_add(1, std::memory_order_release);
+      while (!start.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) c.Inc();
+    });
+  }
+  while (registered.load(std::memory_order_acquire) < kWriters) {
+    std::this_thread::yield();
+  }
+  MetricsRegistry registry;  // default shards cover every slot so far
+  c = registry.GetCounter("c");
+  start.store(true, std::memory_order_release);
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(CounterValue(registry.Snapshot(), "c"), kWriters * kPerWriter);
 }
 
 TEST(MetricsRegistryTest, SingleShardRegistryStillCounts) {
@@ -274,13 +290,13 @@ TEST(FlightRecorderTest, TwoWritersNeverTearRecords) {
   EXPECT_LE(recorder.Dump().size(), recorder.capacity());
 }
 
-// ------------------------------------------------------ external slots
+// --------------------------------------------------------- thread slots
 
-// Two non-pool writer threads each register an external ThreadPool slot
-// before a counter sized from SlotUpperBound() is built: every
-// increment lands in the thread's own cell, so the total is exact (the
-// unregistered fallback shares slot 0 and can lose relaxed updates).
-TEST(ThreadPoolExternalSlotTest, RegisteredWritersKeepCountersExact) {
+// Two writer threads each register a thread slot before a counter sized
+// from ThreadSlotUpperBound() is built: every increment lands in the
+// thread's own cell, so the total is exact (the unregistered fallback
+// shares slot 0 and can lose relaxed updates).
+TEST(ThreadSlotTest, RegisteredWritersKeepCountersExact) {
   constexpr std::uint64_t kIncrements = 150000;
   constexpr std::size_t kWriters = 2;
 
@@ -292,10 +308,10 @@ TEST(ThreadPoolExternalSlotTest, RegisteredWritersKeepCountersExact) {
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      slots[w] = ThreadPool::RegisterExternalSlot();
+      slots[w] = telemetry::RegisterThreadSlot();
       // Idempotent per thread: a second call returns the same slot.
-      EXPECT_EQ(ThreadPool::RegisterExternalSlot(), slots[w]);
-      EXPECT_EQ(ThreadPool::CurrentSlot(), slots[w]);
+      EXPECT_EQ(telemetry::RegisterThreadSlot(), slots[w]);
+      EXPECT_EQ(telemetry::CurrentThreadSlot(), slots[w]);
       registered.fetch_add(1, std::memory_order_release);
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -307,14 +323,14 @@ TEST(ThreadPoolExternalSlotTest, RegisteredWritersKeepCountersExact) {
     std::this_thread::yield();
   }
   // Sized after registration: covers every slot handed out so far.
-  telemetry::Counter exact(ThreadPool::SlotUpperBound());
+  telemetry::Counter exact(telemetry::ThreadSlotUpperBound());
   counter = &exact;
   start.store(true, std::memory_order_release);
   for (auto& t : writers) t.join();
 
   EXPECT_NE(slots[0], slots[1]);
-  EXPECT_GT(slots[0], ThreadPool::Shared().size());
-  EXPECT_GT(slots[1], ThreadPool::Shared().size());
+  EXPECT_GE(slots[0], 1u);
+  EXPECT_GE(slots[1], 1u);
   EXPECT_EQ(exact.Value(), kWriters * kIncrements);
 }
 
