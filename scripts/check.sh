@@ -7,6 +7,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
+python3 scripts/check_orphans.py
 
 echo
 echo "== regenerating all paper tables/figures =="

@@ -147,7 +147,9 @@ inline bool IntersectWords4(const std::uint64_t* const* rows, std::size_t n,
 
 // ------------------------------------------- pCAM piecewise transfer
 // The five-region piecewise-linear pCAM transfer (pcam_cell.hpp),
-// evaluated over structure-of-arrays parameter columns. Two shapes:
+// evaluated over structure-of-arrays parameter columns. The rail test is
+// "not inside (m1, m4)" (unordered compares in AVX2), so NaN rails to
+// pmin as in PcamCell::Evaluate. Two shapes:
 //   * PcamColumnEval: one line voltage, many rows (stateless search) —
 //     4 rows of conductance accumulation per AVX2 iteration.
 //   * PcamCellEvalBatch: one row's parameters, many line voltages
@@ -180,7 +182,7 @@ inline void PcamColumnEvalScalar(const PcamColumnSpan& c, double v,
     const double falling = c.sb[r] * v + c.ib[r];
     double o = (v < c.m2[r]) ? rising : c.hi[r];
     o = (v > c.m3[r]) ? falling : o;
-    o = (v <= c.m1[r] || v >= c.m4[r]) ? c.lo[r] : o;
+    o = !(v > c.m1[r] && v < c.m4[r]) ? c.lo[r] : o;
     o = (o < c.lo[r]) ? c.lo[r] : o;  // std::max(o, lo)
     o = (c.hi[r] < o) ? c.hi[r] : o;  // std::min(o, hi)
     deg[r] *= o;
@@ -209,8 +211,8 @@ __attribute__((target("avx2"))) inline void PcamColumnEvalAvx2(
         _mm256_mul_pd(_mm256_loadu_pd(c.sb + r), vv), _mm256_loadu_pd(c.ib + r));
     __m256d o = _mm256_blendv_pd(hi, rising, _mm256_cmp_pd(vv, m2, _CMP_LT_OQ));
     o = _mm256_blendv_pd(o, falling, _mm256_cmp_pd(vv, m3, _CMP_GT_OQ));
-    const __m256d rail = _mm256_or_pd(_mm256_cmp_pd(vv, m1, _CMP_LE_OQ),
-                                      _mm256_cmp_pd(vv, m4, _CMP_GE_OQ));
+    const __m256d rail = _mm256_or_pd(_mm256_cmp_pd(vv, m1, _CMP_NGT_UQ),
+                                      _mm256_cmp_pd(vv, m4, _CMP_NLT_UQ));
     o = _mm256_blendv_pd(o, lo, rail);
     o = _mm256_blendv_pd(o, lo, _mm256_cmp_pd(o, lo, _CMP_LT_OQ));
     o = _mm256_blendv_pd(o, hi, _mm256_cmp_pd(hi, o, _CMP_LT_OQ));
@@ -240,7 +242,7 @@ inline void PcamCellEvalBatchScalar(const PcamCellParams& p, const double* lv,
     const double falling = p.sb * v + p.ib;
     double o = (v < p.m2) ? rising : p.hi;
     o = (v > p.m3) ? falling : o;
-    o = (v <= p.m1 || v >= p.m4) ? p.lo : o;
+    o = !(v > p.m1 && v < p.m4) ? p.lo : o;
     o = (o < p.lo) ? p.lo : o;
     o = (p.hi < o) ? p.hi : o;
     deg[q] *= o;
@@ -268,8 +270,8 @@ __attribute__((target("avx2"))) inline void PcamCellEvalBatchAvx2(
     const __m256d falling = _mm256_add_pd(_mm256_mul_pd(sb, vv), ib);
     __m256d o = _mm256_blendv_pd(hi, rising, _mm256_cmp_pd(vv, m2, _CMP_LT_OQ));
     o = _mm256_blendv_pd(o, falling, _mm256_cmp_pd(vv, m3, _CMP_GT_OQ));
-    const __m256d rail = _mm256_or_pd(_mm256_cmp_pd(vv, m1, _CMP_LE_OQ),
-                                      _mm256_cmp_pd(vv, m4, _CMP_GE_OQ));
+    const __m256d rail = _mm256_or_pd(_mm256_cmp_pd(vv, m1, _CMP_NGT_UQ),
+                                      _mm256_cmp_pd(vv, m4, _CMP_NLT_UQ));
     o = _mm256_blendv_pd(o, lo, rail);
     o = _mm256_blendv_pd(o, lo, _mm256_cmp_pd(o, lo, _CMP_LT_OQ));
     o = _mm256_blendv_pd(o, hi, _mm256_cmp_pd(hi, o, _CMP_LT_OQ));

@@ -87,8 +87,9 @@ class PcamCell {
   double Evaluate(double input_v) const {
     const PcamParams& p = params_;
     double output;
-    // Verbatim structure of the paper's pCAM() pseudocode (Sec. 5).
-    if (input_v <= p.m1 || input_v >= p.m4) {
+    // Verbatim structure of the paper's pCAM() pseudocode (Sec. 5); the
+    // rail test is written as "not inside (m1, m4)" so NaN rails to pmin.
+    if (!(input_v > p.m1 && input_v < p.m4)) {
       output = p.pmin;
     } else if (input_v > p.m3) {
       output =

@@ -160,7 +160,7 @@ double PcamSearchEngine::EvalCell(const FieldColumn& c, std::size_t row,
   const double falling = c.sb[row] * v + c.ib[row];
   double out = (v < c.m2[row]) ? rising : c.pmax[row];
   out = (v > c.m3[row]) ? falling : out;
-  out = (v <= c.m1[row] || v >= c.m4[row]) ? c.pmin[row] : out;
+  out = !(v > c.m1[row] && v < c.m4[row]) ? c.pmin[row] : out;
   return std::min(std::max(out, c.pmin[row]), c.pmax[row]);
 }
 

@@ -40,7 +40,8 @@ class PcapWriter {
 };
 
 // Reads a whole capture. Throws std::runtime_error on malformed input
-// (bad magic, truncated records). Only the microsecond little-endian
+// (bad magic, truncated records, a frame longer than the header's snap
+// length or 262144 bytes). Only the microsecond little-endian
 // flavour written by PcapWriter and standard tools is supported.
 std::vector<PcapRecord> ReadPcap(std::istream& in);
 

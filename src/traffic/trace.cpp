@@ -1,8 +1,8 @@
 #include "analognf/traffic/trace.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -97,12 +97,16 @@ Trace ReadTrace(std::istream& in) {
   trace.population.high_priority_fraction = GetF64(in);
   trace.population.Validate();
   const std::uint64_t count = GetU64(in);
-  // 20 bytes per record; reject sizes the stream cannot possibly hold
-  // rather than bad_alloc on a corrupt count.
-  if (count > std::numeric_limits<std::uint64_t>::max() / 32) {
-    throw std::runtime_error("trace: implausible record count");
+  // Reserve no more records than the bytes left can hold (20 each; none
+  // if the stream cannot seek), so a corrupt count fails below as
+  // truncated input, not as bad_alloc.
+  std::uint64_t room = 0;
+  const std::istream::pos_type here = in.tellg();
+  if (here != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    room = static_cast<std::uint64_t>(in.tellg() - here) / 20;
+    in.seekg(here);
   }
-  trace.records.reserve(static_cast<std::size_t>(count));
+  trace.records.reserve(static_cast<std::size_t>(std::min(count, room)));
   for (std::uint64_t i = 0; i < count; ++i) {
     TraceRecord r;
     r.arrival_s = GetF64(in);

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "analognf/cognitive/associative.hpp"
 #include "analognf/cognitive/classifier.hpp"
 #include "analognf/cognitive/learned_aqm.hpp"
 #include "analognf/cognitive/perceptron.hpp"
@@ -309,109 +308,6 @@ TEST(ClassifierTest, EndToEndOverGeneratedTraffic) {
   const auto result = clf.Classify(tracker.Features(flow), 0.2);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->label, "voip");
-}
-
-
-// ------------------------------------------------- associative memory
-
-TEST(AssociativeMemoryTest, ConfigValidation) {
-  AssociativeMemoryConfig c;
-  EXPECT_NO_THROW(c.Validate());
-  c.dimensions = 0;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  c = AssociativeMemoryConfig{};
-  c.conductance_unit_siemens = 1.0;  // way above device max
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-}
-
-TEST(AssociativeMemoryTest, ExactRecall) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 4;
-  AssociativeMemory mem(c);
-  mem.Store("a", {1.0, 0.0, 0.0, 0.0});
-  mem.Store("b", {0.0, 1.0, 0.0, 0.0});
-  mem.Store("c", {0.0, 0.0, 1.0, 1.0});
-
-  const auto r = mem.Recall({0.0, 0.0, 0.9, 0.9});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->label, "c");
-  EXPECT_GT(r->similarity, 0.99);
-}
-
-TEST(AssociativeMemoryTest, NoisyProbeStillRecalls) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 8;
-  AssociativeMemory mem(c);
-  const std::vector<double> stored = {1.0, 0.8, 0.0, 0.2,
-                                      0.9, 0.1, 0.0, 0.7};
-  mem.Store("target", stored);
-  mem.Store("other", {0.0, 0.1, 1.0, 0.9, 0.0, 0.8, 1.0, 0.1});
-
-  analognf::RandomStream rng(3);
-  std::vector<double> probe = stored;
-  for (double& v : probe) {
-    v = std::clamp(v + rng.NextNormal(0.0, 0.15), 0.0, 1.0);
-  }
-  const auto r = mem.Recall(probe, 0.5);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->label, "target");
-}
-
-TEST(AssociativeMemoryTest, MinSimilarityRejects) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 4;
-  AssociativeMemory mem(c);
-  mem.Store("a", {1.0, 0.0, 0.0, 0.0});
-  // Orthogonal probe: similarity ~0.
-  EXPECT_FALSE(mem.Recall({0.0, 1.0, 0.0, 0.0}, 0.5).has_value());
-}
-
-TEST(AssociativeMemoryTest, SampleRecallWeightsBySimilarity) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 2;
-  AssociativeMemory mem(c);
-  mem.Store("close", {1.0, 0.2});
-  mem.Store("far", {0.2, 1.0});
-  analognf::RandomStream rng(5);
-  int close_hits = 0;
-  for (int i = 0; i < 500; ++i) {
-    const auto r = mem.SampleRecall({1.0, 0.1}, rng, 0.0);
-    ASSERT_TRUE(r.has_value());
-    if (r->label == "close") ++close_hits;
-  }
-  EXPECT_GT(close_hits, 300);  // strongly biased toward the closer pattern
-  EXPECT_LT(close_hits, 500);  // but the far one is sampled sometimes
-}
-
-TEST(AssociativeMemoryTest, CapacityAndValidationErrors) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 2;
-  c.capacity = 1;
-  AssociativeMemory mem(c);
-  mem.Store("only", {0.5, 0.5});
-  EXPECT_THROW(mem.Store("overflow", {1.0, 0.0}), std::length_error);
-  AssociativeMemory fresh(AssociativeMemoryConfig{});
-  EXPECT_THROW(fresh.Store("bad", {2.0}), std::invalid_argument);  // arity
-  std::vector<double> out_of_range(fresh.dimensions(), 2.0);
-  EXPECT_THROW(fresh.Store("bad", out_of_range), std::invalid_argument);
-  std::vector<double> zeros(fresh.dimensions(), 0.0);
-  EXPECT_THROW(fresh.Store("zero", zeros), std::invalid_argument);
-}
-
-TEST(AssociativeMemoryTest, EmptyMemoryRecallsNothing) {
-  AssociativeMemory mem(AssociativeMemoryConfig{});
-  std::vector<double> probe(mem.dimensions(), 0.5);
-  EXPECT_FALSE(mem.Recall(probe).has_value());
-}
-
-TEST(AssociativeMemoryTest, RecallConsumesAnalogEnergy) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 4;
-  AssociativeMemory mem(c);
-  mem.Store("a", {1.0, 0.0, 1.0, 0.0});
-  EXPECT_EQ(mem.ConsumedEnergyJ(), 0.0);
-  mem.Recall({1.0, 0.0, 1.0, 0.0});
-  EXPECT_GT(mem.ConsumedEnergyJ(), 0.0);
 }
 
 TEST(ClassifierTest, ClassifyBatchMatchesSequential) {

@@ -7,6 +7,8 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "analognf/common/stats.hpp"
 #include "analognf/net/generator.hpp"
@@ -1067,6 +1069,24 @@ TEST(PcapTest, ReaderRejectsGarbage) {
   EXPECT_THROW(ReadPcap(bad), std::runtime_error);
   std::stringstream empty;
   EXPECT_THROW(ReadPcap(empty), std::runtime_error);
+
+  // A record longer than the header's snap length, or than libpcap's
+  // 262144-byte maximum, is corrupt even when its body is all there.
+  const auto record = [](std::uint32_t incl_len) {
+    std::string r(16, '\0');
+    for (std::size_t i = 0; i < 4; ++i) {
+      r[8 + i] = static_cast<char>(incl_len >> (8 * i));
+    }
+    return r + std::string(incl_len, '\0');
+  };
+  const std::pair<std::uint32_t, std::uint32_t> cases[] = {
+      {64, 65}, {0xffffffffu, 262145}};
+  for (const auto& [snap_len, incl_len] : cases) {
+    std::stringstream capture;
+    PcapWriter writer(capture, snap_len);
+    capture << record(incl_len);
+    EXPECT_THROW(ReadPcap(capture), std::runtime_error) << incl_len;
+  }
 }
 
 }  // namespace

@@ -489,6 +489,16 @@ TEST(TraceTest, RejectsCorruptInput) {
 
   std::stringstream truncated(buffer.str().substr(0, 40));
   EXPECT_THROW(traffic::ReadTrace(truncated), std::runtime_error);
+
+  // A header-only file whose count claims 2^40 records is truncated
+  // input, not a request to reserve 2^40 records.
+  std::stringstream header_only;
+  traffic::WriteTrace(header_only, traffic::Trace{});
+  std::string huge = header_only.str();
+  ASSERT_EQ(huge.size(), 64u);
+  huge[56 + 5] = 1;  // little-endian u64 count at offset 56: 2^40
+  std::stringstream claims_huge(huge);
+  EXPECT_THROW(traffic::ReadTrace(claims_huge), std::runtime_error);
 }
 
 // ----------------------------------------------------- TrafficSource
