@@ -163,24 +163,10 @@ RunResult RunSequentialBaseline(
   for (std::size_t p = 0; p < ports; ++p) {
     const arch::SwitchStats& s = solos[p]->stats();
     if (per_port_stats != nullptr) per_port_stats[p] = s;
-    r.stats.injected += s.injected;
-    r.stats.forwarded += s.forwarded;
-    r.stats.parse_errors += s.parse_errors;
-    r.stats.firewall_denies += s.firewall_denies;
-    r.stats.no_route += s.no_route;
-    r.stats.aqm_drops += s.aqm_drops;
-    r.stats.queue_full += s.queue_full;
+    r.stats += s;
   }
   r.stats.injected -= ports;  // warm-up packets
   return r;
-}
-
-bool SameVerdicts(const arch::SwitchStats& a, const arch::SwitchStats& b) {
-  return a.injected == b.injected && a.forwarded == b.forwarded &&
-         a.parse_errors == b.parse_errors &&
-         a.firewall_denies == b.firewall_denies &&
-         a.no_route == b.no_route && a.aqm_drops == b.aqm_drops &&
-         a.queue_full == b.queue_full;
 }
 
 void Report() {
@@ -233,7 +219,7 @@ void EmitMultiportJson() {
     std::vector<arch::SwitchStats> solo_stats(ports);
     const RunResult baseline =
         RunSequentialBaseline(ports, streams, solo_stats.data());
-    const bool identical = SameVerdicts(group.stats, baseline.stats);
+    const bool identical = group.stats == baseline.stats;
     all_identical = all_identical && identical;
 
     const double total_packets =

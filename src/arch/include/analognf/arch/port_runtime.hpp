@@ -9,17 +9,18 @@
 //   * SharedTables (switch.hpp) — the controller-owned firewall TCAM and
 //     LPM table. Mutations stage; Commit() compiles and publishes an
 //     immutable snapshot RCU-style (common/snapshot.hpp).
-//   * PortRuntime — one worker thread per port, draining a bounded
-//     mailbox of ingress batches and control commands into a private
-//     CognitiveSwitch that reads the group's SharedTables (a standalone
-//     switch reads its own the same way). Each batch acquires the
-//     published snapshots; each port keeps its own energy
-//     ledger, stats and telemetry (the worker registers a telemetry
-//     thread slot so sharded counters stay exact). Table searches run
+//   * PortRuntime — one worker thread per port, running a bounded
+//     mailbox of control commands and an attached SPSC ring of ingress
+//     batches against a private CognitiveSwitch that reads the group's
+//     SharedTables (a standalone switch reads its own the same way).
+//     Each batch acquires the published snapshots; each port keeps its
+//     own energy ledger, stats and telemetry (the worker registers a
+//     telemetry thread slot so sharded counters stay exact). Table searches run
 //     on this worker too: the ports are the only data-plane threads.
 //   * SwitchGroup — the assembly: the controller thread stages and
 //     commits table updates and broadcasts pCAM reprogramming commands;
-//     data sources submit batches per port. Commands apply at batch
+//     data sources push batches into each port's ring, or Submit() them
+//     as inject commands through the mailbox. Commands apply at batch
 //     boundaries on the owning worker, so every switch stays
 //     single-threaded internally — the concurrency lives entirely in the
 //     snapshot layer, where readers always see either the old or the new
@@ -43,12 +44,14 @@
 
 namespace analognf::arch {
 
-// One port's data plane: a dedicated worker thread, a bounded mailbox,
-// and a private CognitiveSwitch reading the group's SharedTables.
+// One port's data plane: a dedicated worker thread, a bounded mailbox of
+// control commands, an optional ingress ring, and a private
+// CognitiveSwitch reading the group's SharedTables.
 class PortRuntime {
  public:
-  // An ingress batch bound for this port. Packets are owned by the item
-  // (moved in) so the submitter can retire its buffers immediately.
+  // An ingress batch bound for this port's ring. Packets are owned by
+  // the batch (moved in) so the producer can retire its buffers
+  // immediately.
   struct Batch {
     std::vector<net::Packet> packets;
     double now_s = 0.0;
@@ -56,28 +59,27 @@ class PortRuntime {
     // the ring-batch hook can report enqueue-to-completion sojourn.
     std::uint64_t enqueue_ns = 0;
   };
-  // A control command; runs on the worker between batches with exclusive
-  // access to the port's switch.
+  // A control command; runs on the worker between ring batches with
+  // exclusive access to the port's switch. Injecting packets from a
+  // command is how SwitchGroup::Submit feeds a port without a ring.
   using Command = std::function<void(CognitiveSwitch&)>;
 
   // Builds the port's switch as a reader of `tables` and starts the
   // worker. `tables` must outlive the runtime. The mailbox is bounded;
-  // Submit blocks when it is full (backpressure, never drops).
+  // Apply blocks when it is full (backpressure, never drops).
   PortRuntime(SwitchConfig config, const SharedTables* tables);
   ~PortRuntime();
 
   PortRuntime(const PortRuntime&) = delete;
   PortRuntime& operator=(const PortRuntime&) = delete;
 
-  // Enqueues an ingress batch (blocks while the mailbox is full).
-  void Submit(Batch batch);
-  // Enqueues a control command (same mailbox, so it applies at a batch
-  // boundary, in submission order relative to batches).
+  // Enqueues a control command (blocks while the mailbox is full). It
+  // applies at a ring-batch boundary, in order with every other command.
   void Apply(Command command);
-  // Blocks until every submitted item has fully executed.
+  // Blocks until every enqueued command has fully executed.
   void WaitIdle();
 
-  // ---- ring-fed run-to-completion mode (the src/traffic ingress) ----
+  // ---- ring-fed run-to-completion mode: the port's data path ----
   // One lock-free SPSC ring of ingress batches; the port worker is the
   // single consumer, one producer thread pushes.
   using IngressRing = analognf::SpscRing<Batch>;
@@ -97,10 +99,10 @@ class PortRuntime {
   // back-to-back; when both are empty it spins briefly, then parks on
   // the ring's doorbell (SpscRing::Park). Pushes, mailbox items and
   // teardown ring that bell, so an idle port sleeps without a poll
-  // timer and wakes as soon as work arrives. Mailbox items
-  // (Submit/Apply) still take priority, so control commands keep
-  // applying at batch boundaries. The attach itself travels the
-  // mailbox, so it also lands at a batch boundary. `ring` must stay
+  // timer and wakes as soon as work arrives. Mailbox commands still
+  // take priority, so they keep applying at batch boundaries. The
+  // attach itself travels the mailbox, so it also lands at a batch
+  // boundary. `ring` must stay
   // alive until DetachRing() returns, or until the runtime is destroyed
   // if it is never detached.
   void AttachRing(IngressRing* ring, RingHook hook = {});
@@ -114,7 +116,7 @@ class PortRuntime {
 
   // The port's switch. Single-threaded object: touch it only from
   // commands (which run on the worker) or after WaitIdle() with no
-  // further Submit/Apply in flight.
+  // further Apply in flight.
   CognitiveSwitch& device() { return switch_; }
   const CognitiveSwitch& device() const { return switch_; }
 
@@ -126,12 +128,11 @@ class PortRuntime {
 
  private:
   struct Item {
-    Batch batch;
-    Command command;  // non-null = control item, batch ignored
+    Command command;  // run on the worker unless ring_op is set
     // Ring control: when set, the worker swaps its ring pointer/hook to
-    // these values (null detaches). Takes precedence over the fields
-    // above. Routed through the mailbox so the swap happens on the
-    // worker at a batch boundary.
+    // these values (null detaches) instead of running `command`. Routed
+    // through the mailbox so the swap happens on the worker at a batch
+    // boundary.
     bool ring_op = false;
     IngressRing* ring = nullptr;
     RingHook hook;
@@ -159,7 +160,8 @@ class PortRuntime {
 // A multi-port switch assembly: one SharedTables control plane, one
 // PortRuntime per port. The controller thread owns table mutations and
 // Commit(); any thread may submit batches (one submitter per port at a
-// time keeps arrival order deterministic).
+// time keeps arrival order deterministic). A ring attached through
+// runtime(port).AttachRing() is the port's lock-free data path.
 class SwitchGroup {
  public:
   // `ports` port runtimes, each configured from `config` (telemetry
@@ -189,10 +191,11 @@ class SwitchGroup {
   void ProgramAqmTarget(double target_delay_s, double max_deviation_s);
 
   // ------------------------------------------------ data plane
-  // Enqueues a batch on `port`'s mailbox (blocks while full).
+  // Enqueues a command on `port`'s mailbox that injects `packets` at
+  // `now_s` (blocks while full; FIFO with Apply and ring attach/detach).
   void Submit(std::size_t port, std::vector<net::Packet> packets,
               double now_s);
-  // Blocks until every port has drained its mailbox.
+  // Blocks until every port has run every enqueued command.
   void WaitIdle();
 
   // ------------------------------------------------ observability

@@ -123,6 +123,19 @@ struct SwitchStats {
   std::uint64_t aqm_drops = 0;
   std::uint64_t queue_full = 0;
   std::uint64_t delivered = 0;
+
+  bool operator==(const SwitchStats&) const = default;
+  SwitchStats& operator+=(const SwitchStats& o) {
+    injected += o.injected;
+    forwarded += o.forwarded;
+    parse_errors += o.parse_errors;
+    firewall_denies += o.firewall_denies;
+    no_route += o.no_route;
+    aqm_drops += o.aqm_drops;
+    queue_full += o.queue_full;
+    delivered += o.delivered;
+    return *this;
+  }
 };
 
 class ParseStage;

@@ -9,7 +9,7 @@
 
 namespace {
 
-// Queued mailbox items per port; Submit blocks when full (backpressure,
+// Queued mailbox items per port; Apply blocks when full (backpressure,
 // never drops).
 constexpr std::size_t kMailboxDepth = 8;
 
@@ -51,12 +51,6 @@ void PortRuntime::Enqueue(Item item) {
   if (ring_ != nullptr) ring_->Wake();
   lock.unlock();
   cv_submit_.notify_one();
-}
-
-void PortRuntime::Submit(Batch batch) {
-  Item item;
-  item.batch = std::move(batch);
-  Enqueue(std::move(item));
 }
 
 void PortRuntime::Apply(Command command) {
@@ -129,10 +123,8 @@ void PortRuntime::WorkerLoop() {
       cv_state_.notify_all();  // a mailbox slot freed up
       if (item.ring_op) {
         ring_hook = std::move(item.hook);
-      } else if (item.command) {
-        item.command(switch_);
       } else {
-        switch_.InjectBatch(item.batch.packets, item.batch.now_s);
+        item.command(switch_);
       }
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -223,10 +215,10 @@ void SwitchGroup::ProgramAqmTarget(double target_delay_s,
 
 void SwitchGroup::Submit(std::size_t port, std::vector<net::Packet> packets,
                          double now_s) {
-  PortRuntime::Batch batch;
-  batch.packets = std::move(packets);
-  batch.now_s = now_s;
-  runtimes_.at(port)->Submit(std::move(batch));
+  runtimes_.at(port)->Apply(
+      [packets = std::move(packets), now_s](CognitiveSwitch& sw) {
+        sw.InjectBatch(packets, now_s);
+      });
 }
 
 void SwitchGroup::WaitIdle() {
@@ -235,17 +227,7 @@ void SwitchGroup::WaitIdle() {
 
 SwitchStats SwitchGroup::AggregateStats() const {
   SwitchStats total;
-  for (const auto& runtime : runtimes_) {
-    const SwitchStats& s = runtime->device().stats();
-    total.injected += s.injected;
-    total.forwarded += s.forwarded;
-    total.parse_errors += s.parse_errors;
-    total.firewall_denies += s.firewall_denies;
-    total.no_route += s.no_route;
-    total.aqm_drops += s.aqm_drops;
-    total.queue_full += s.queue_full;
-    total.delivered += s.delivered;
-  }
+  for (const auto& runtime : runtimes_) total += runtime->device().stats();
   return total;
 }
 

@@ -20,6 +20,7 @@
 //     accounted separately (the controller pays it, not the data path).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "analognf/analog/noise.hpp"
@@ -47,6 +48,14 @@ struct HardwarePcamConfig {
 
   void Validate() const;  // throws std::invalid_argument
 };
+
+// The V^2 factor of a search line's read energy V^2 * G * t_read. A
+// non-finite line voltage is not driven onto the devices and charges
+// 0 J, so one NaN or infinite query cannot poison an energy ledger;
+// finite voltages give exactly line_v * line_v.
+inline double DrivenLineSquare(double line_v) {
+  return std::isfinite(line_v) ? line_v * line_v : 0.0;
+}
 
 // Output of one hardware evaluation.
 struct PcamEvalResult {
@@ -79,8 +88,8 @@ class HardwarePcamCell {
   PcamEvalResult EvaluateStateless(double input_v) {
     const double line_v = input_v * channel_.params().line_gain;
     PcamEvalResult result;
-    result.energy_j =
-        line_v * line_v * conductance_sum_s_ * config_.device.read_time_s;
+    result.energy_j = DrivenLineSquare(line_v) * conductance_sum_s_ *
+                      config_.device.read_time_s;
     result.output = effective_.Evaluate(line_v);
     result.region = effective_.RegionOf(line_v);
     search_energy_j_ += result.energy_j;
@@ -102,7 +111,8 @@ class HardwarePcamCell {
   // What the controller asked for.
   const PcamParams& target_params() const { return target_; }
 
-  // Search energy for a given line voltage with the current states.
+  // Search energy for a given line voltage with the current states (0 J
+  // for a non-finite one; see DrivenLineSquare).
   double SearchEnergyJ(double input_v) const;
 
   // Combined conductance of both threshold devices, G_lo + G_hi. Cached

@@ -107,7 +107,8 @@ void HardwarePcamCell::Age(double dt_s) {
 }
 
 double HardwarePcamCell::SearchEnergyJ(double input_v) const {
-  return input_v * input_v * conductance_sum_s_ * config_.device.read_time_s;
+  return DrivenLineSquare(input_v) * conductance_sum_s_ *
+         config_.device.read_time_s;
 }
 
 PcamEvalResult HardwarePcamCell::Evaluate(double input_v) {

@@ -203,7 +203,8 @@ void PcamSearchEngine::SearchStatelessBanked(const double* query,
     ++driven;
     for (std::size_t f = 0; f < field_count_; ++f) {
       const double lv = line_v_[f];
-      energy += lv * lv * read_time_s_ * bank_g_[b * field_count_ + f];
+      energy += DrivenLineSquare(lv) * read_time_s_ *
+                bank_g_[b * field_count_ + f];
       const FieldColumn& c = columns_[f];
       const simd::PcamColumnSpan span{
           c.m1.data(), c.m2.data(), c.m3.data(), c.m4.data(),
@@ -240,7 +241,7 @@ void PcamSearchEngine::SearchStateless(const double* query,
     line_v_[f] = lv;
     // All rows of a field see the same line voltage, so the array's read
     // energy collapses to one multiply per field.
-    energy += lv * lv * read_time_s_ * field_g_total_[f];
+    energy += DrivenLineSquare(lv) * read_time_s_ * field_g_total_[f];
   }
   out.energy_j = energy;
 
@@ -283,7 +284,7 @@ void PcamSearchEngine::SearchStateful(std::vector<PcamWord>& words,
     for (std::size_t f = 0; f < field_count_; ++f) {
       const double lv = word.cell(f).channel().Transmit(query[f]);
       deg *= EvalCell(columns_[f], r, lv);
-      energy += lv * lv * columns_[f].g_sum[r] * read_time_s_;
+      energy += DrivenLineSquare(lv) * columns_[f].g_sum[r] * read_time_s_;
     }
     degrees[r] = deg;
     if (deg > degrees[best]) best = r;
@@ -349,7 +350,7 @@ void PcamSearchEngine::SearchBatch(std::vector<PcamWord>& words,
       for (std::size_t f = 0; f < field_count_; ++f) {
         const double lv = query[f] * line_gain_;
         batch_line_[f * count + q] = lv;
-        energy += lv * lv * read_time_s_ * field_g_total_[f];
+        energy += DrivenLineSquare(lv) * read_time_s_ * field_g_total_[f];
       }
       outcomes[q].energy_j = energy;
     }
@@ -407,7 +408,7 @@ void PcamSearchEngine::SearchBatch(std::vector<PcamWord>& words,
                               count);
       for (std::size_t q = 0; q < count; ++q) {
         const double lv = batch_line_[q];
-        outcomes[q].energy_j += lv * lv * g_rt;
+        outcomes[q].energy_j += DrivenLineSquare(lv) * g_rt;
       }
     }
     for (std::size_t q = 0; q < count; ++q) {

@@ -14,6 +14,11 @@
 
 namespace analognf::net {
 
+// libpcap's largest snap length. The writer refuses a larger one and the
+// reader treats a record longer than this as corrupt, so every capture
+// PcapWriter produces reads back through ReadPcap.
+inline constexpr std::uint32_t kPcapMaxSnapLen = 262144;
+
 // One captured frame with its timestamp.
 struct PcapRecord {
   double timestamp_s = 0.0;
@@ -22,7 +27,8 @@ struct PcapRecord {
 
 class PcapWriter {
  public:
-  // Writes the global header immediately. LINKTYPE_ETHERNET (1).
+  // Writes the global header immediately. LINKTYPE_ETHERNET (1). Throws
+  // std::invalid_argument unless 0 < snap_len <= kPcapMaxSnapLen.
   explicit PcapWriter(std::ostream& out, std::uint32_t snap_len = 65535);
 
   // Appends one frame. Timestamps must be non-decreasing (pcap readers
@@ -41,7 +47,7 @@ class PcapWriter {
 
 // Reads a whole capture. Throws std::runtime_error on malformed input
 // (bad magic, truncated records, a frame longer than the header's snap
-// length or 262144 bytes). Only the microsecond little-endian
+// length or kPcapMaxSnapLen). Only the microsecond little-endian
 // flavour written by PcapWriter and standard tools is supported.
 std::vector<PcapRecord> ReadPcap(std::istream& in);
 

@@ -12,8 +12,6 @@ constexpr std::uint32_t kMagicMicroseconds = 0xa1b2c3d4;
 constexpr std::uint16_t kVersionMajor = 2;
 constexpr std::uint16_t kVersionMinor = 4;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
-// libpcap's largest snap length: a record claiming more is corrupt.
-constexpr std::uint32_t kMaxSnapLen = 262144;
 
 void PutU16Le(std::ostream& out, std::uint16_t v) {
   const char bytes[2] = {static_cast<char>(v & 0xff),
@@ -50,8 +48,8 @@ std::uint16_t GetU16Le(std::istream& in) {
 
 PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snap_len)
     : out_(out), snap_len_(snap_len) {
-  if (snap_len == 0) {
-    throw std::invalid_argument("PcapWriter: zero snap length");
+  if (snap_len == 0 || snap_len > kPcapMaxSnapLen) {
+    throw std::invalid_argument("PcapWriter: snap length not in 1..262144");
   }
   PutU32Le(out_, kMagicMicroseconds);
   PutU16Le(out_, kVersionMajor);
@@ -103,7 +101,7 @@ std::vector<PcapRecord> ReadPcap(std::istream& in) {
     const std::uint32_t micros = GetU32Le(in);
     const std::uint32_t incl_len = GetU32Le(in);
     GetU32Le(in);  // orig_len
-    if (incl_len > snap_len || incl_len > kMaxSnapLen) {
+    if (incl_len > snap_len || incl_len > kPcapMaxSnapLen) {
       throw std::runtime_error("pcap: frame length exceeds snap length");
     }
     std::vector<std::uint8_t> bytes(incl_len);

@@ -9,7 +9,8 @@
 // tuples. Arrival times round-trip as raw IEEE-754 bit patterns, so a
 // recorded run and its replay hand the switch the *same doubles*, which
 // is what makes replayed verdicts and energy ledgers bit-identical
-// (LoadDriverTest.ReplayMatchesLiveRun pins this end to end).
+// (TrafficSourceTest.RecordThenReplayIsByteIdentical pins the replayed
+// bytes and batch clocks).
 #pragma once
 
 #include <cstdint>

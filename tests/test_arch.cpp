@@ -269,17 +269,6 @@ std::vector<net::Packet> BatchedWorkload() {
   return packets;
 }
 
-void ExpectSameStats(const SwitchStats& a, const SwitchStats& b) {
-  EXPECT_EQ(a.injected, b.injected);
-  EXPECT_EQ(a.forwarded, b.forwarded);
-  EXPECT_EQ(a.parse_errors, b.parse_errors);
-  EXPECT_EQ(a.firewall_denies, b.firewall_denies);
-  EXPECT_EQ(a.no_route, b.no_route);
-  EXPECT_EQ(a.aqm_drops, b.aqm_drops);
-  EXPECT_EQ(a.queue_full, b.queue_full);
-  EXPECT_EQ(a.delivered, b.delivered);
-}
-
 TEST(SwitchBatchTest, InjectBatchMatchesSequentialInject) {
   CognitiveSwitch sequential(BatchedConfig());
   CognitiveSwitch batched(BatchedConfig());
@@ -309,7 +298,7 @@ TEST(SwitchBatchTest, InjectBatchMatchesSequentialInject) {
     now += 0.0005;
   }
 
-  ExpectSameStats(batched.stats(), sequential.stats());
+  EXPECT_EQ(batched.stats(), sequential.stats());
   // Every drop path must have fired, or the equivalence is vacuous.
   EXPECT_GT(batched.stats().forwarded, 0u);
   EXPECT_GT(batched.stats().parse_errors, 0u);

@@ -249,6 +249,17 @@ TEST(HardwarePcamTest, SearchEnergyPositiveAndAccumulates) {
 TEST(HardwarePcamTest, ZeroInputCostsNothing) {
   HardwarePcamCell hw(UnitTrapezoid(), TestHardware());
   EXPECT_EQ(hw.Evaluate(0.0).energy_j, 0.0);
+  // A non-finite input is not driven onto the devices either: it costs
+  // nothing and leaves the running total finite.
+  hw.Evaluate(2.5);
+  const double after_finite = hw.ConsumedSearchEnergyJ();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::nan(""), inf, -inf}) {
+    EXPECT_EQ(hw.SearchEnergyJ(v), 0.0) << v;
+    EXPECT_EQ(hw.Evaluate(v).energy_j, 0.0) << v;
+    EXPECT_EQ(hw.EvaluateStateless(v).energy_j, 0.0) << v;
+  }
+  EXPECT_EQ(hw.ConsumedSearchEnergyJ(), after_finite);
 }
 
 TEST(HardwarePcamTest, ProgrammingEnergyCharged) {
@@ -662,7 +673,10 @@ TEST(PcamSearchEngineTest, MatchesPerCellReferenceWithin1e12) {
     }
     EXPECT_EQ(result->row_index, best);
     EXPECT_NEAR(result->match_degree, expected[best], 1e-12);
+    // A non-finite line is not driven, so it charges no read energy.
+    EXPECT_TRUE(std::isfinite(result->energy_j)) << "query " << q;
   }
+  EXPECT_TRUE(std::isfinite(table.ConsumedEnergyJ()));
   // At least as many queries as rows take the query-major batch kernel
   // (one row's cell over a block of queries); it must agree too.
   std::vector<std::vector<double>> block;
@@ -677,6 +691,28 @@ TEST(PcamSearchEngineTest, MatchesPerCellReferenceWithin1e12) {
     EXPECT_NEAR(batch[q].match_degree,
                 *std::max_element(expected.begin(), expected.end()), 1e-12)
         << "query " << q;
+    EXPECT_TRUE(std::isfinite(batch[q].energy_j)) << "query " << q;
+  }
+  EXPECT_TRUE(std::isfinite(table.ConsumedEnergyJ()));
+
+  // The banked sweep and a stateful (noisy) channel charge the same way,
+  // one query at a time and batched.
+  PcamSearchConfig banked_cfg;
+  banked_cfg.bank_rows = 8;
+  HardwarePcamConfig noisy = TestHardware();
+  noisy.channel = analog::ChannelParams::Noisy(0.01);
+  PcamTable banked = engine_test::MakeTestTable(48, TestHardware(), banked_cfg);
+  PcamTable stateful = engine_test::MakeTestTable(48, noisy);
+  for (PcamTable* t : {&banked, &stateful}) {
+    for (const std::vector<double>& q : non_finite) {
+      const auto result = t->Search(q);
+      ASSERT_TRUE(result.has_value());
+      EXPECT_TRUE(std::isfinite(result->energy_j));
+    }
+    for (const PcamTableResult& r : t->SearchBatch(block)) {
+      EXPECT_TRUE(std::isfinite(r.energy_j));
+    }
+    EXPECT_TRUE(std::isfinite(t->ConsumedEnergyJ()));
   }
 }
 

@@ -348,15 +348,7 @@ TEST(SwitchGroupTest, FourPortsMatchFourSoloSwitches) {
     ExpectStatsEq(group.device(p).stats(), solos[p]->stats());
     EXPECT_DOUBLE_EQ(group.device(p).ledger().TotalJ(),
                      solos[p]->ledger().TotalJ());
-    const SwitchStats& s = solos[p]->stats();
-    want.injected += s.injected;
-    want.forwarded += s.forwarded;
-    want.parse_errors += s.parse_errors;
-    want.firewall_denies += s.firewall_denies;
-    want.no_route += s.no_route;
-    want.aqm_drops += s.aqm_drops;
-    want.queue_full += s.queue_full;
-    want.delivered += s.delivered;
+    want += solos[p]->stats();
     want_j += solos[p]->ledger().TotalJ();
   }
   ExpectStatsEq(group.AggregateStats(), want);
@@ -422,15 +414,7 @@ TEST(SwitchGroupTest, FourPortsMatchFourSolosWithPrunedFirewall) {
       ExpectStatsEq(group.device(p).stats(), solos[p]->stats());
       EXPECT_DOUBLE_EQ(group.device(p).ledger().TotalJ(),
                        solos[p]->ledger().TotalJ());
-      const SwitchStats& s = solos[p]->stats();
-      want.injected += s.injected;
-      want.forwarded += s.forwarded;
-      want.parse_errors += s.parse_errors;
-      want.firewall_denies += s.firewall_denies;
-      want.no_route += s.no_route;
-      want.aqm_drops += s.aqm_drops;
-      want.queue_full += s.queue_full;
-      want.delivered += s.delivered;
+      want += solos[p]->stats();
       want_j += solos[p]->ledger().TotalJ();
     }
     ExpectStatsEq(group.AggregateStats(), want);
@@ -556,15 +540,7 @@ TEST(SwitchGroupTest, DeltaCommitsUnderTrafficMatchSoloSwitches) {
       EXPECT_EQ(got.operations, total.operations)
           << "port " << p << " " << name;
     }
-    const SwitchStats& s = solos[p]->stats();
-    want.injected += s.injected;
-    want.forwarded += s.forwarded;
-    want.parse_errors += s.parse_errors;
-    want.firewall_denies += s.firewall_denies;
-    want.no_route += s.no_route;
-    want.aqm_drops += s.aqm_drops;
-    want.queue_full += s.queue_full;
-    want.delivered += s.delivered;
+    want += solos[p]->stats();
     want_j += solos[p]->ledger().TotalJ();
   }
   ExpectStatsEq(group.AggregateStats(), want);

@@ -1054,6 +1054,17 @@ TEST(PcapTest, SnapLenTruncatesOnDisk) {
   const auto records = ReadPcap(buffer);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].packet.size(), 64u);
+
+  // The largest snap length the reader accepts is the largest the writer
+  // takes, so every capture it writes reads back.
+  EXPECT_THROW(PcapWriter(buffer, kPcapMaxSnapLen + 1), std::invalid_argument);
+  EXPECT_THROW(PcapWriter(buffer, 0xffffffffu), std::invalid_argument);
+  std::stringstream largest;
+  PcapWriter max_writer(largest, kPcapMaxSnapLen);
+  max_writer.Write(0.0, Packet(std::vector<std::uint8_t>(300000, 0xab)));
+  const auto max_records = ReadPcap(largest);
+  ASSERT_EQ(max_records.size(), 1u);
+  EXPECT_EQ(max_records[0].packet.size(), kPcapMaxSnapLen);
 }
 
 TEST(PcapTest, RejectsBackwardsTimestamps) {
@@ -1079,12 +1090,22 @@ TEST(PcapTest, ReaderRejectsGarbage) {
     }
     return r + std::string(incl_len, '\0');
   };
+  // A global header claiming `snap_len`: PcapWriter's, with the snap
+  // length field (offset 16) patched, since the writer refuses one above
+  // kPcapMaxSnapLen.
+  const auto header = [](std::uint32_t snap_len) {
+    std::stringstream out;
+    PcapWriter writer(out, 64);
+    std::string h = out.str();
+    for (std::size_t i = 0; i < 4; ++i) {
+      h[16 + i] = static_cast<char>(snap_len >> (8 * i));
+    }
+    return h;
+  };
   const std::pair<std::uint32_t, std::uint32_t> cases[] = {
       {64, 65}, {0xffffffffu, 262145}};
   for (const auto& [snap_len, incl_len] : cases) {
-    std::stringstream capture;
-    PcapWriter writer(capture, snap_len);
-    capture << record(incl_len);
+    std::stringstream capture(header(snap_len) + record(incl_len));
     EXPECT_THROW(ReadPcap(capture), std::runtime_error) << incl_len;
   }
 }
