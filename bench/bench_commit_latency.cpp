@@ -290,31 +290,36 @@ void ReportAndEmitJson() {
   const CommitSamples pcam_commit = SamplePcamCommits(32);
   const double pcam_lookup = PcamLookupNs();
 
-  Table table({"engine", "rows", "full rebuild", "single-rule commit",
-               "lookup / pkt"});
+  // Row counts and the delta-vs-full split are deterministic; the
+  // timings are not, so they print as a separate [TIMING] table.
+  Table table({"engine", "rows", "commits", "delta commits"});
+  Table timing({"engine", "full rebuild", "single-rule commit",
+                "lookup / pkt"});
   auto us = [](double ns) {
     return std::to_string(ns / 1000.0).substr(0, 8) + " us";
   };
-  table.AddRow({"LPM flat (DIR-24-8)", std::to_string(kLpmRoutes),
-                us(LpmFixture().full_build_ns), us(lpm_commit.mean_ns),
-                std::to_string(lpm_lookup).substr(0, 6) + " ns"});
-  table.AddRow({"TCAM compiled", std::to_string(kTcamRules),
-                us(TcamFixture().full_build_ns), us(tcam_commit.mean_ns),
-                std::to_string(tcam_lookup).substr(0, 6) + " ns"});
-  table.AddRow({"pCAM", std::to_string(kPcamRows),
-                us(PcamFixture().full_build_ns), us(pcam_commit.mean_ns),
-                std::to_string(pcam_lookup).substr(0, 6) + " ns"});
+  bench::JsonArray results{"results", {}};
+  auto add_rows = [&](const char* label, const char* engine,
+                      std::size_t rows, double full_build_ns,
+                      const CommitSamples& commit, double lookup_ns) {
+    table.AddRow({label, std::to_string(rows), std::to_string(commit.count),
+                  std::to_string(commit.delta_commits)});
+    timing.AddRow({label, us(full_build_ns), us(commit.mean_ns),
+                   std::to_string(lookup_ns).substr(0, 6) + " ns"});
+    AppendEngineRows(results, engine, rows, full_build_ns, commit,
+                     lookup_ns);
+  };
+  add_rows("LPM flat (DIR-24-8)", "lpm_flat", kLpmRoutes,
+           LpmFixture().full_build_ns, lpm_commit, lpm_lookup);
+  add_rows("TCAM compiled", "tcam", kTcamRules, TcamFixture().full_build_ns,
+           tcam_commit, tcam_lookup);
+  add_rows("pCAM", "pcam", kPcamRows, PcamFixture().full_build_ns,
+           pcam_commit, pcam_lookup);
   bench::PrintTable(table);
+  bench::PrintTimingTable(timing);
   bench::Line("delta commits patch the published snapshot: a one-rule "
               "change no longer pays the full recompile");
 
-  bench::JsonArray results{"results", {}};
-  AppendEngineRows(results, "lpm_flat", kLpmRoutes,
-                   LpmFixture().full_build_ns, lpm_commit, lpm_lookup);
-  AppendEngineRows(results, "tcam", kTcamRules, TcamFixture().full_build_ns,
-                   tcam_commit, tcam_lookup);
-  AppendEngineRows(results, "pcam", kPcamRows, PcamFixture().full_build_ns,
-                   pcam_commit, pcam_lookup);
   bench::WriteBenchJson(
       "BENCH_commit.json",
       {bench::JsonStr("bench", "commit_latency"),

@@ -166,19 +166,23 @@ void EmitTelemetryJson() {
          bench::JsonNum("ns_per_packet_off", off_ns),
          bench::JsonNum("ns_per_packet_on", on_ns),
          bench::JsonNum("overhead_pct", overhead_pct)});
-    bench::Line("batch " + std::to_string(batch) + ": off " +
-                std::to_string(off_ns) + " ns/pkt, on " +
-                std::to_string(on_ns) + " ns/pkt, overhead " +
-                std::to_string(overhead_pct) + "%");
+    bench::Line("batch " + std::to_string(batch) + ": " +
+                std::to_string(kRounds) + " paired off/on rounds of " +
+                std::to_string(kPacketsPerConfig) + " packets");
+    bench::TimingLine("batch " + std::to_string(batch) + ": off " +
+                      std::to_string(off_ns) + " ns/pkt, on " +
+                      std::to_string(on_ns) + " ns/pkt, overhead " +
+                      std::to_string(overhead_pct) + "%");
   }
+  bench::TimingLine("worst overhead " + std::to_string(worst_overhead_pct) +
+                    "%");
 
   bench::WriteBenchJson(
       "BENCH_telemetry.json",
       {bench::JsonStr("bench", "telemetry_overhead"),
        bench::JsonNum("budget_pct", 3.0),
        bench::JsonNum("worst_overhead_pct", worst_overhead_pct)},
-      {results},
-      "worst overhead " + std::to_string(worst_overhead_pct) + "%");
+      {results}, std::to_string(results.items.size()) + " batch sizes");
 }
 
 void ReportAndEmitJson() {

@@ -3,6 +3,9 @@
 // Every bench binary first prints the paper table/figure it regenerates
 // as `[REPRO]`-prefixed lines (consumed by EXPERIMENTS.md), then runs
 // its google-benchmark timings. BENCH_MAIN wires that order up.
+// `[REPRO]` lines are seeded-deterministic: two runs of one build print
+// them byte-identically. Wall-clock figures differ run to run, so they
+// go on `[TIMING]` lines instead.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -31,6 +34,16 @@ inline void Line(const std::string& text) {
 
 inline void PrintTable(const Table& table) {
   table.Print(std::cout, kPrefix);
+}
+
+inline constexpr const char* kTimingPrefix = "[TIMING] ";
+
+inline void TimingLine(const std::string& text) {
+  std::cout << kTimingPrefix << text << "\n";
+}
+
+inline void PrintTimingTable(const Table& table) {
+  table.Print(std::cout, kTimingPrefix);
 }
 
 // ------------------------------------------------------- BENCH_*.json

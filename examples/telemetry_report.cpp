@@ -85,11 +85,21 @@ int main() {
     sw.DrainInto(now_s, drained);
   }
 
+  // Verdict counts live in SwitchStats only; the registry below holds
+  // what no struct does (stage drops and timings, engine counters).
   const arch::SwitchStats& stats = sw.stats();
-  std::printf("injected %llu, forwarded %llu, aqm drops %llu\n\n",
-              static_cast<unsigned long long>(stats.injected),
-              static_cast<unsigned long long>(stats.forwarded),
-              static_cast<unsigned long long>(stats.aqm_drops));
+  std::printf(
+      "injected %llu, forwarded %llu, parse errors %llu, firewall denies "
+      "%llu, no route %llu, aqm drops %llu, queue full %llu, delivered "
+      "%llu\n\n",
+      static_cast<unsigned long long>(stats.injected),
+      static_cast<unsigned long long>(stats.forwarded),
+      static_cast<unsigned long long>(stats.parse_errors),
+      static_cast<unsigned long long>(stats.firewall_denies),
+      static_cast<unsigned long long>(stats.no_route),
+      static_cast<unsigned long long>(stats.aqm_drops),
+      static_cast<unsigned long long>(stats.queue_full),
+      static_cast<unsigned long long>(stats.delivered));
 
   // The one-call post-mortem: Prometheus snapshot + last batch traces.
   std::printf("---- post-mortem dump (Prometheus + flight recorder) ----\n");

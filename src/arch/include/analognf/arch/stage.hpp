@@ -46,10 +46,9 @@ struct StageMetrics {
 
 // Registry handles behind the `stage.<name>.*` metric names, maintained
 // by the graph runner around each Process() call. All null until the
-// graph is bound to a registry.
+// graph is bound to a registry. Packet and call counts are not mirrored
+// here: StageMetrics holds them.
 struct StageTelemetry {
-  telemetry::CounterHandle packets;      // batch sizes summed
-  telemetry::CounterHandle invocations;  // Process() calls
   telemetry::CounterHandle drops;        // verdicts settled by this stage
   telemetry::HistogramHandle ns;         // per-batch Process() wall time
   telemetry::HistogramHandle nj;         // per-batch stage-meter energy
@@ -108,7 +107,7 @@ class StageGraph {
   }
 
   // Binds every current and future stage to `stage.<name>.*` metrics in
-  // `registry` (packets/invocations/drops counters, ns/nJ histograms).
+  // `registry` (drops counter, ns/nJ histograms).
   // Run() additionally records per-stage wall time for the flight
   // recorder once bound. Telemetry is observability-only: it never
   // changes what a stage does to the batch.

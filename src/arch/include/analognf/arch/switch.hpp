@@ -278,12 +278,6 @@ class CognitiveSwitch {
   const telemetry::Telemetry& telemetry() const { return telemetry_; }
 
  private:
-  // Per-verdict counter handles mirroring SwitchStats.
-  struct VerdictCounters {
-    telemetry::CounterHandle injected, forwarded, parse_errors,
-        firewall_denies, no_route, aqm_drops, queue_full;
-  };
-
   void BindTelemetry();
   // Commit, run the stage graph over `count` packets arriving at
   // `now_s`, and record the batch's telemetry.
@@ -304,8 +298,6 @@ class CognitiveSwitch {
   // destruction.
   telemetry::Telemetry telemetry_;
   std::unique_ptr<SharedTables> own_tables_;  // null on a reader switch
-  VerdictCounters verdict_counters_;
-  telemetry::CounterHandle batches_counter_;
   telemetry::GaugeHandle queue_depth_gauge_;
   telemetry::HistogramHandle batch_size_hist_;
   StageGraph graph_{&stage_ledger_};

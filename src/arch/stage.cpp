@@ -76,8 +76,6 @@ void StageGraph::BindTelemetry(telemetry::MetricsRegistry& registry) {
 void StageGraph::BindStageTelemetry(MatchActionStage& stage) {
   const std::string prefix = "stage." + stage.name();
   StageTelemetry& t = stage.telemetry_;
-  t.packets = registry_->GetCounter(prefix + ".packets");
-  t.invocations = registry_->GetCounter(prefix + ".invocations");
   t.drops = registry_->GetCounter(prefix + ".drops");
   t.ns = registry_->GetHistogram(prefix + ".ns", NsSpec());
   t.nj = registry_->GetHistogram(prefix + ".nj", NjSpec());
@@ -108,8 +106,6 @@ void StageGraph::Run(net::PacketBatch& batch) {
     ++stage.metrics_.invocations;
     if (instrumented) {
       last_stage_ns_[si] = ns;
-      stage.telemetry_.packets.Inc(batch.size());
-      stage.telemetry_.invocations.Inc();
       stage.telemetry_.ns.Observe(ns);
       stage.telemetry_.nj.Observe(
           (stage.metrics_.energy->energy_j - energy_before_j) * 1e9);

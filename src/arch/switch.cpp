@@ -167,15 +167,6 @@ void CognitiveSwitch::BindTelemetry() {
   if (lb_ != nullptr) lb_->BindTelemetry(registry);
   if (classify_ != nullptr) classify_->BindTelemetry(registry);
 
-  verdict_counters_.injected = registry.GetCounter("switch.injected");
-  verdict_counters_.forwarded = registry.GetCounter("switch.forwarded");
-  verdict_counters_.parse_errors = registry.GetCounter("switch.parse_errors");
-  verdict_counters_.firewall_denies =
-      registry.GetCounter("switch.firewall_denies");
-  verdict_counters_.no_route = registry.GetCounter("switch.no_route");
-  verdict_counters_.aqm_drops = registry.GetCounter("switch.aqm_drops");
-  verdict_counters_.queue_full = registry.GetCounter("switch.queue_full");
-  batches_counter_ = registry.GetCounter("switch.batches");
   queue_depth_gauge_ = registry.GetGauge("switch.queue_depth");
   telemetry::HistogramSpec batch_spec;
   batch_spec.first_bound = 1.0;
@@ -219,14 +210,6 @@ void CognitiveSwitch::RecordBatchTrace(double now_s,
   rec.degree_max = deg.max;
   rec.degree_sum = deg.sum;
 
-  verdict_counters_.injected.Inc(batch_count(&SwitchStats::injected));
-  verdict_counters_.forwarded.Inc(rec.forwarded);
-  verdict_counters_.parse_errors.Inc(rec.parse_errors);
-  verdict_counters_.firewall_denies.Inc(rec.firewall_denies);
-  verdict_counters_.no_route.Inc(rec.no_route);
-  verdict_counters_.aqm_drops.Inc(rec.aqm_drops);
-  verdict_counters_.queue_full.Inc(rec.queue_full);
-  batches_counter_.Inc();
   queue_depth_gauge_.Set(static_cast<double>(rec.queue_depth));
   batch_size_hist_.Observe(static_cast<double>(batch_.size()));
 

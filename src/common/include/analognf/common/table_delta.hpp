@@ -2,8 +2,11 @@
 //
 // Every table follows the same stage-then-Commit() discipline
 // (tcam.hpp, pcam_array.hpp): mutations stage against the authoritative
-// row store and an explicit Commit() publishes an immutable snapshot
-// RCU-style through SnapshotCell<T> (snapshot.hpp). Historically every
+// row store and an explicit Commit() publishes them. The TCAM and LPM
+// tables publish an immutable snapshot RCU-style through SnapshotCell<T>
+// (snapshot.hpp); the single-writer pCAM table refreshes the dirty rows
+// of its engine's snapshot in place, and searches only that committed
+// state. Historically every
 // Commit() recompiled the world; at internet scale (1M LPM routes, 256k
 // TCAM rules) that turns a single-rule change into a multi-millisecond
 // rebuild. This header is the contract that makes commits incremental:
@@ -27,7 +30,9 @@
 //   * TableCommitStats — per-table control-plane accounting (commit
 //     count, delta vs full split, rows patched, last commit latency),
 //     surfaced through the `table.commit_ns` / `table.delta_rows` /
-//     `table.full_recompiles` telemetry meters (telemetry/metrics.hpp).
+//     `table.full_recompiles` telemetry meters. Every table times its
+//     commit on CommitClockNs() and writes both through one function,
+//     telemetry::RecordCommit (telemetry/metrics.hpp).
 //
 // The log lives in the table (single mutator thread, never read by the
 // data plane); published snapshots stay immutable. See
@@ -35,6 +40,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -143,8 +149,18 @@ struct DeltaCommitPolicy {
   }
 };
 
+// Monotonic nanoseconds: the clock every table's commit latency is read
+// from.
+inline std::uint64_t CommitClockNs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 // Control-plane cost accounting, per table. Mutated only by Commit()
-// (single controller thread); read by tests, benches and telemetry.
+// (single controller thread) through telemetry::RecordCommit; read by
+// tests, benches and telemetry.
 struct TableCommitStats {
   std::uint64_t commits = 0;           // Commit() calls that published
   std::uint64_t delta_commits = 0;     // took the patch path

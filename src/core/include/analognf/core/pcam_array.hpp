@@ -11,7 +11,8 @@
 // Searches run on a PcamSearchEngine snapshot (pcam_search_engine.hpp):
 // a structure-of-arrays mirror of every cell's effective transfer
 // function that evaluates whole columns per probe, dirty-tracked so that
-// Insert/ProgramField/Age refresh only the touched rows.
+// Commit() after Insert/ProgramField/Age refreshes only the touched
+// rows.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +76,7 @@ class PcamTable {
   };
 
   // `field_count` fixes the table width; every row must match it.
-  // `search_config` tunes the search engine (thread sharding).
-  PcamTable(std::size_t field_count, HardwarePcamConfig config,
-            PcamSearchConfig search_config = {});
+  PcamTable(std::size_t field_count, HardwarePcamConfig config);
 
   std::size_t field_count() const { return field_count_; }
   std::size_t size() const { return words_.size(); }
@@ -108,16 +107,14 @@ class PcamTable {
 
   // Full-array search: every row evaluates `inputs`; the highest match
   // degree wins (ties: lowest index). Returns nullopt only for an empty
-  // table. Energy covers all rows (they all saw the search voltage) —
-  // or, in banked mode (PcamSearchConfig::bank_rows), only the driven
-  // banks. Throws std::logic_error if mutations are staged uncommitted.
+  // table. Energy covers all rows (they all saw the search voltage).
+  // Throws std::logic_error if mutations are staged uncommitted.
   std::optional<PcamTableResult> Search(const std::vector<double>& inputs);
 
-  // Batched search: one snapshot refresh and shared scratch buffers
-  // across all probes; with noisy channels, per-cell noise is sampled
-  // for the whole batch at once. Returns one result per query (empty if
-  // the table is empty); last_degrees() afterwards holds the final
-  // query's per-row degrees.
+  // Batched search: shared scratch buffers across all probes; with
+  // noisy channels, per-cell noise is sampled for the whole batch at
+  // once. Returns one result per query (empty if the table is empty);
+  // last_degrees() afterwards holds the final query's per-row degrees.
   std::vector<PcamTableResult> SearchBatch(
       const std::vector<std::vector<double>>& queries);
   // Same, with the queries packed row-major (size = k * field_count).
@@ -157,10 +154,6 @@ class PcamTable {
   // structural mutation: the next Commit() is a full snapshot rebuild,
   // and searches throw until then.
   void Age(double dt_s);
-
-  // The underlying search engine (diagnostics and tests: bank counts,
-  // driven-bank accounting).
-  const PcamSearchEngine& search_engine() const { return engine_; }
 
   double ConsumedEnergyJ() const { return consumed_energy_j_; }
 

@@ -108,8 +108,6 @@ class HardwarePcamCell {
 
   // The transfer function actually realised after quantisation.
   const PcamParams& effective_params() const { return effective_.params(); }
-  // What the controller asked for.
-  const PcamParams& target_params() const { return target_; }
 
   // Search energy for a given line voltage with the current states (0 J
   // for a non-finite one; see DrivenLineSquare).
@@ -131,9 +129,6 @@ class HardwarePcamCell {
   double ConsumedProgrammingEnergyJ() const { return program_energy_j_; }
   std::uint64_t searches() const { return searches_; }
 
-  const device::Memristor& low_device() const { return low_; }
-  const device::Memristor& high_device() const { return high_; }
-
  private:
   // Maps a threshold voltage onto a device state and back, returning the
   // snapped voltage actually stored.
@@ -144,7 +139,6 @@ class HardwarePcamCell {
   device::StateQuantizer quantizer_;
   device::Memristor low_;    // stores M2 (low bound of the match window)
   device::Memristor high_;   // stores M3 (high bound)
-  PcamParams target_;
   PcamCell effective_;
   analog::AnalogChannel channel_;
   double conductance_sum_s_ = 0.0;

@@ -15,10 +15,11 @@
 //     five-region piecewise-linear map then evaluates as branch-light
 //     select chains over whole columns that the compiler auto-vectorizes.
 //   * Dirty tracking: Insert/ProgramField/Age on the owning table
-//     invalidate only the touched rows; a search refreshes those rows
-//     and reuses the rest of the snapshot untouched.
-//   * Batching: SearchBatch() evaluates many probes against one snapshot
-//     refresh, reusing all scratch buffers and (for noisy channels)
+//     invalidate only the touched rows; the table's Commit() refreshes
+//     those rows (CommitRows) and reuses the rest of the snapshot
+//     untouched. Searches only ever read a clean snapshot.
+//   * Batching: SearchBatch() evaluates many probes against one
+//     snapshot, reusing all scratch buffers and (for noisy channels)
 //     drawing each cell's channel-noise samples for the whole batch in
 //     one TransmitBatch call.
 //   * Threading: every search runs on the thread that calls it (in the
@@ -46,22 +47,6 @@ namespace analognf::core {
 
 class PcamWord;
 
-// Tuning knobs for the engine, per table.
-struct PcamSearchConfig {
-  // Rows per bank for banked pre-selection (0 = unbanked, the default).
-  // A banked array splits its rows into fixed-size banks, each with its
-  // own conductance columns; before a search drives a bank, cheap
-  // per-bank bounds (min m1 / max m4 per field, recomputed on refresh)
-  // decide whether every row in it is *guaranteed* an exactly-zero match
-  // degree for this query — such banks are not driven at all: their rows
-  // score 0.0 (the value the full sweep would produce bit-for-bit) and
-  // they contribute no read energy, so search energy becomes sublinear
-  // in table size for selective queries. Banked mode requires a
-  // stateless channel: stateful channels must advance every cell's noise
-  // stream, so no row may be skipped.
-  std::size_t bank_rows = 0;
-};
-
 // One query's outcome. Per-row degrees land in the caller's buffer.
 struct PcamSearchOutcome {
   std::size_t best_row = 0;
@@ -72,8 +57,7 @@ struct PcamSearchOutcome {
 class PcamSearchEngine {
  public:
   PcamSearchEngine(std::size_t field_count,
-                   const HardwarePcamConfig& hardware,
-                   PcamSearchConfig config);
+                   const HardwarePcamConfig& hardware);
 
   // --- snapshot maintenance (driven by the owning PcamTable) ----------
   void AppendRow();                     // grow columns; new row is dirty
@@ -82,18 +66,11 @@ class PcamSearchEngine {
 
   std::size_t rows() const { return rows_; }
   std::size_t field_count() const { return field_count_; }
-  const PcamSearchConfig& config() const { return config_; }
 
-  // Bank count in banked mode (0 when unbanked) and how many banks the
-  // most recent stateless search actually drove (== bank count for an
-  // unselective query; 0 when unbanked). Diagnostics and tests.
-  std::size_t bank_count() const;
-  std::size_t last_driven_banks() const { return last_driven_banks_; }
-
-  // Rebuilds the dirty snapshot rows now, off the hot path, so the next
-  // search pays no refresh. Searches still refresh lazily when needed
-  // (the table is single-writer), so this is a latency optimization
-  // point, not a correctness requirement.
+  // Rebuilds the dirty snapshot rows from `words`, the owning table's
+  // row storage. The only refresh: the table calls it from Commit() and
+  // refuses to search while rows are dirty, so Search()/SearchBatch()
+  // always read a clean snapshot.
   void CommitRows(const std::vector<PcamWord>& words);
   bool NeedsRefresh() const { return any_dirty_; }
 
@@ -101,13 +78,13 @@ class PcamSearchEngine {
   // One probe. `query` holds field_count() voltages; `degrees` is
   // resized to rows() and filled with per-row match degrees. `words` is
   // the owning table's row storage (mutable: stateful channels advance
-  // their noise streams). Requires rows() > 0.
+  // their noise streams). Requires rows() > 0 and a clean snapshot.
   PcamSearchOutcome Search(std::vector<PcamWord>& words, const double* query,
                            std::vector<double>& degrees);
 
   // `count` probes, row-major (count x field_count). Fills `outcomes`
   // (one per probe) and leaves the final probe's per-row degrees in
-  // `degrees`. Requires rows() > 0 and count > 0.
+  // `degrees`. Requires rows() > 0, count > 0 and a clean snapshot.
   void SearchBatch(std::vector<PcamWord>& words, const double* queries,
                    std::size_t count, std::vector<PcamSearchOutcome>& outcomes,
                    std::vector<double>& degrees);
@@ -143,9 +120,7 @@ class PcamSearchEngine {
     std::vector<double> g_sum;           // G_lo + G_hi per cell [S]
   };
 
-  void Refresh(const std::vector<PcamWord>& words);
   void RefreshRow(const std::vector<PcamWord>& words, std::size_t row);
-  void RefreshBankMeta();
 
   // Transfer function of cell (row, field) at line voltage `v`;
   // bit-compatible with PcamCell::Evaluate on the effective params.
@@ -154,18 +129,11 @@ class PcamSearchEngine {
   // Stateless-channel fast path: whole-column passes.
   void SearchStateless(const double* query, std::vector<double>& degrees,
                        PcamSearchOutcome& out);
-  // Banked stateless path: per-bank skip test, driven banks swept with
-  // the same column kernels in the same field order (bit-identical
-  // degrees), energy summed over driven banks only.
-  void SearchStatelessBanked(const double* query,
-                             std::vector<double>& degrees,
-                             PcamSearchOutcome& out);
   // Stateful-channel path: row-major walk preserving legacy noise order.
   void SearchStateful(std::vector<PcamWord>& words, const double* query,
                       std::vector<double>& degrees, PcamSearchOutcome& out);
 
   std::size_t field_count_;
-  PcamSearchConfig config_;
   double read_time_s_;
   double line_gain_;
   bool stateless_channel_;
@@ -180,15 +148,6 @@ class PcamSearchEngine {
   std::vector<std::size_t> dirty_rows_;
   bool all_dirty_ = false;
   bool any_dirty_ = false;
-
-  // Banked pre-selection metadata, rebuilt on refresh. Indexed
-  // [bank * field_count + field] except bank_nonneg_ (per bank).
-  std::vector<double> bank_m1_min_;      // min effective m1 over bank rows
-  std::vector<double> bank_m4_max_;      // max effective m4 over bank rows
-  std::vector<std::uint8_t> bank_zero_ok_;  // every pmin in bank exactly 0
-  std::vector<double> bank_g_;           // per-bank per-field G sums [S]
-  std::vector<std::uint8_t> bank_nonneg_;   // no negative pmin in bank
-  std::size_t last_driven_banks_ = 0;
 
   // Scratch reused across calls (never shrinks).
   std::vector<double> line_v_;           // per-field line voltages

@@ -1,20 +1,8 @@
 #include "analognf/core/pcam_array.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace analognf::core {
-
-namespace {
-
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 PcamWord::PcamWord(const std::vector<PcamParams>& fields,
                    const HardwarePcamConfig& config) {
@@ -59,11 +47,10 @@ void PcamWord::Age(double dt_s) {
   for (HardwarePcamCell& cell : cells_) cell.Age(dt_s);
 }
 
-PcamTable::PcamTable(std::size_t field_count, HardwarePcamConfig config,
-                     PcamSearchConfig search_config)
+PcamTable::PcamTable(std::size_t field_count, HardwarePcamConfig config)
     : field_count_(field_count),
       config_(config),
-      engine_(field_count, config_, search_config) {
+      engine_(field_count, config_) {
   if (field_count == 0) {
     throw std::invalid_argument("PcamTable: zero field count");
   }
@@ -89,26 +76,15 @@ void PcamTable::Commit() {
     delta_.Clear();
     return;
   }
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = CommitClockNs();
   // Only the staged (dirty) rows refresh; whether that counts as a
   // delta commit or a full recompile is pure accounting. Structural
   // mutations (Age) and first-build commits touch every row.
   const std::size_t touched = delta_.touched().size();
   const bool was_delta = !delta_.structural() && touched < words_.size();
   engine_.CommitRows(words_);
-  const std::uint64_t elapsed = NowNs() - t0;
-  ++commit_stats_.commits;
-  commit_stats_.last_commit_ns = elapsed;
-  commit_stats_.last_was_delta = was_delta;
-  if (was_delta) {
-    ++commit_stats_.delta_commits;
-    commit_stats_.delta_rows += touched;
-    commit_telemetry_.delta_rows.Inc(touched);
-  } else {
-    ++commit_stats_.full_recompiles;
-    commit_telemetry_.full_recompiles.Inc();
-  }
-  commit_telemetry_.commit_ns.Inc(elapsed);
+  telemetry::RecordCommit(commit_stats_, commit_telemetry_, t0, was_delta,
+                          touched);
   delta_.Clear();
 }
 
@@ -158,8 +134,8 @@ std::optional<PcamTableResult> PcamTable::Search(
       engine_.Search(words_, inputs.data(), last_degrees_);
   consumed_energy_j_ += outcome.energy_j;
   if (engine_.stateless_channel()) {
-    // Search() just refreshed any dirty rows, so the snapshot is clean
-    // until the next mutation (which invalidates the memo).
+    // The snapshot stays clean until the next mutation, which
+    // invalidates the memo.
     replay_ok_ = true;
     last_query_.assign(inputs.begin(), inputs.end());
     last_outcome_ = outcome;

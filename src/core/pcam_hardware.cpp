@@ -45,7 +45,6 @@ HardwarePcamCell::HardwarePcamCell(const PcamParams& target,
         analognf::RandomStream rng(config_.seed ^ 0x5a5a5a5aULL);
         return device::Memristor(MakeCellDevice(config_, rng));
       }()),
-      target_(target),
       effective_(target),  // placeholder; Reprogram() sets the real one
       channel_(config_.channel, analognf::RandomStream(config_.seed ^ 0xc4)) {
   target.Validate();
@@ -65,7 +64,6 @@ double HardwarePcamCell::SnapThreshold(double threshold_v,
 
 void HardwarePcamCell::Reprogram(const PcamParams& target) {
   target.Validate();
-  target_ = target;
 
   const double skirt_a = target.m2 - target.m1;
   const double skirt_b = target.m4 - target.m3;

@@ -94,10 +94,6 @@ class LpmFlatEngine {
     telemetry_ = counters;
   }
 
-  // Allocated direct pages / extension pages (capacity sizing tests).
-  std::size_t direct_pages() const;
-  std::size_t tbl8_count() const { return tbl8_count_; }
-
  private:
   // Direct table: 2^24 slots in 1024 pages of 16K (128 KB each). The
   // page is the copy-on-write unit: small enough that one clone is a

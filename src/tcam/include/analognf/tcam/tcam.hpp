@@ -118,7 +118,6 @@ class TcamTable {
   bool IsLive(std::size_t index) const {
     return index < live_.size() && live_[index] != 0;
   }
-  const TcamTechnology& technology() const { return technology_; }
   const std::vector<Entry>& entries() const { return entries_; }
 
   // Adds an entry; pattern width must equal key_width. Returns the
@@ -171,11 +170,9 @@ class TcamTable {
 
   // Accounts one search cycle's energy without scanning, for compiled
   // side-engines (e.g. the LPM trie) that keep this table as the cost
-  // model of record. Returns the energy of the cycle.
-  double AccountSearch();
-  // Same, with the cycle energy supplied by the caller (a snapshot's
-  // search_energy_j) so accounting can follow the snapshot actually
-  // searched rather than the live row set.
+  // model of record. The cycle energy is supplied by the caller (a
+  // snapshot's search_energy_j) so accounting follows the snapshot
+  // actually searched rather than the live row set. Returns it.
   double AccountSearch(double energy_j);
 
   // Energy/latency of one search cycle over the current (live) table.

@@ -137,8 +137,6 @@ class TcamSearchEngine {
   // Overlay the delta path has accumulated on top of the core; the
   // owning table's DeltaCommitPolicy bounds this before growing it.
   std::size_t overlay_slots() const { return tail_count_ + erased_count_; }
-  std::size_t tail_slots() const { return tail_count_; }
-  std::size_t erased_slots() const { return erased_count_; }
   const TcamSearchConfig& config() const { return config_; }
   // The match tier the core compilation chose for this row set (delta
   // snapshots inherit their core's tier).

@@ -260,12 +260,4 @@ void LpmFlatEngine::LookupBatch(
   telemetry_.rows_scanned.Inc(total_reads);
 }
 
-std::size_t LpmFlatEngine::direct_pages() const {
-  std::size_t n = 0;
-  for (const auto& page : pages_) {
-    if (page != nullptr) ++n;
-  }
-  return n;
-}
-
 }  // namespace analognf::tcam

@@ -1,23 +1,10 @@
 #include "analognf/tcam/tcam.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 namespace analognf::tcam {
-
-namespace {
-
-// Monotonic nanoseconds for commit-latency accounting.
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 void TcamTechnology::Validate() const {
   if (!(search_energy_per_bit_j >= 0.0)) {
@@ -133,7 +120,7 @@ void TcamTable::CompactTombstones() {
 
 void TcamTable::Commit() {
   if (!NeedsCommit()) return;
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = CommitClockNs();
   const std::shared_ptr<const TcamTableSnapshot> prev = published_.Acquire();
   // Delta decision: patch the previous snapshot's compiled core when the
   // staged set (plus the overlay it already carries) is small against
@@ -176,19 +163,8 @@ void TcamTable::Commit() {
   snap->epoch = ++commits_;
   delta_.Clear();
 
-  const std::uint64_t commit_ns = NowNs() - t0;
-  ++commit_stats_.commits;
-  commit_stats_.last_commit_ns = commit_ns;
-  commit_stats_.last_was_delta = use_delta;
-  if (use_delta) {
-    ++commit_stats_.delta_commits;
-    commit_stats_.delta_rows += patched_rows;
-    commit_telemetry_.delta_rows.Inc(patched_rows);
-  } else {
-    ++commit_stats_.full_recompiles;
-    commit_telemetry_.full_recompiles.Inc();
-  }
-  commit_telemetry_.commit_ns.Inc(commit_ns);
+  telemetry::RecordCommit(commit_stats_, commit_telemetry_, t0, use_delta,
+                          patched_rows);
 
   // Clear the dirty flag BEFORE the publish: a strict single-threaded
   // reader that observes dirty == false is then guaranteed to acquire
@@ -247,8 +223,6 @@ void TcamTable::SearchBatch(const std::vector<BitKey>& keys,
     out[q] = result;
   }
 }
-
-double TcamTable::AccountSearch() { return AccountSearch(SearchEnergyJ()); }
 
 double TcamTable::AccountSearch(double energy_j) {
   consumed_energy_j_ += energy_j;
@@ -399,7 +373,7 @@ std::shared_ptr<LpmTableSnapshot> LpmTable::BuildSnapshot(
 
 void LpmTable::Commit() {
   if (!dirty_) return;
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = CommitClockNs();
   const std::shared_ptr<const LpmTableSnapshot> prev = published_.Acquire();
   const std::size_t live = table_.size();
   // Deltas only make sense flat-to-flat: trie commits rebuild by design
@@ -421,19 +395,8 @@ void LpmTable::Commit() {
   delta_.Clear();
   staged_withdrawals_.clear();
 
-  const std::uint64_t commit_ns = NowNs() - t0;
-  ++commit_stats_.commits;
-  commit_stats_.last_commit_ns = commit_ns;
-  commit_stats_.last_was_delta = use_delta;
-  if (use_delta) {
-    ++commit_stats_.delta_commits;
-    commit_stats_.delta_rows += patched_rows;
-    commit_telemetry_.delta_rows.Inc(patched_rows);
-  } else {
-    ++commit_stats_.full_recompiles;
-    commit_telemetry_.full_recompiles.Inc();
-  }
-  commit_telemetry_.commit_ns.Inc(commit_ns);
+  telemetry::RecordCommit(commit_stats_, commit_telemetry_, t0, use_delta,
+                          patched_rows);
 
   dirty_ = false;
   published_.Publish(std::move(snap));

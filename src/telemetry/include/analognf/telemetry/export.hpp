@@ -17,7 +17,7 @@ namespace analognf::telemetry {
 
 // Prometheus metric name for a registry metric name: characters outside
 // [a-zA-Z0-9_:] become '_' and the result is prefixed "analognf_"
-// (e.g. "stage.parse.packets" -> "analognf_stage_parse_packets").
+// (e.g. "stage.parse.drops" -> "analognf_stage_parse_drops").
 std::string PrometheusName(const std::string& name);
 
 // Round-trippable float rendering (max 17 significant digits); integers

@@ -18,9 +18,7 @@
 // Instrumented code holds *handles* (CounterHandle, GaugeHandle,
 // HistogramHandle), not metrics: a handle from a disabled registry is
 // null and every operation on it is an inlined no-op, so the
-// TelemetryConfig off-switch produces zero metric writes. Defining
-// ANALOGNF_NO_TELEMETRY additionally compiles every handle operation
-// out entirely (the build-time kill switch).
+// TelemetryConfig off-switch produces zero metric writes.
 //
 // Metric pointers handed out by the registry are stable for the
 // registry's lifetime (the same contract as EnergyLedger::Meter).
@@ -35,6 +33,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "analognf/common/table_delta.hpp"
 
 namespace analognf::telemetry {
 
@@ -194,18 +194,14 @@ class Histogram {
 // ---------------------------------------------------------------- handles
 // Null-safe views instrumented code holds. A default-constructed (or
 // disabled-registry) handle is inert; all operations inline to a single
-// predictable branch — or to nothing under ANALOGNF_NO_TELEMETRY.
+// predictable branch.
 
 class CounterHandle {
  public:
   CounterHandle() = default;
   explicit CounterHandle(Counter* c) : c_(c) {}
   void Inc(std::uint64_t n = 1) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (c_ != nullptr) c_->Inc(n);
-#else
-    (void)n;
-#endif
   }
   bool bound() const { return c_ != nullptr; }
 
@@ -218,18 +214,10 @@ class GaugeHandle {
   GaugeHandle() = default;
   explicit GaugeHandle(Gauge* g) : g_(g) {}
   void Set(double v) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (g_ != nullptr) g_->Set(v);
-#else
-    (void)v;
-#endif
   }
   void Add(double v) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (g_ != nullptr) g_->Add(v);
-#else
-    (void)v;
-#endif
   }
   bool bound() const { return g_ != nullptr; }
 
@@ -242,11 +230,7 @@ class HistogramHandle {
   HistogramHandle() = default;
   explicit HistogramHandle(Histogram* h) : h_(h) {}
   void Observe(double x) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (h_ != nullptr) h_->Observe(x);
-#else
-    (void)x;
-#endif
   }
   bool bound() const { return h_ != nullptr; }
 
@@ -368,6 +352,30 @@ inline TableCommitCounters MakeTableCommitCounters(
   counters.delta_rows = registry.GetCounter("table.delta_rows");
   counters.full_recompiles = registry.GetCounter("table.full_recompiles");
   return counters;
+}
+
+// Accounts one published commit that began at `start_ns`
+// (CommitClockNs()): its wall time up to now, and whether it took the
+// delta path with `delta_rows` rows patched or rebuilt from scratch.
+// Writes the table's own `stats` and the registry-wide `counters`; the
+// one commit-accounting path of TcamTable, LpmTable and PcamTable.
+inline void RecordCommit(TableCommitStats& stats,
+                         const TableCommitCounters& counters,
+                         std::uint64_t start_ns, bool delta,
+                         std::size_t delta_rows) {
+  const std::uint64_t elapsed_ns = CommitClockNs() - start_ns;
+  ++stats.commits;
+  stats.last_commit_ns = elapsed_ns;
+  stats.last_was_delta = delta;
+  if (delta) {
+    ++stats.delta_commits;
+    stats.delta_rows += delta_rows;
+    counters.delta_rows.Inc(delta_rows);
+  } else {
+    ++stats.full_recompiles;
+    counters.full_recompiles.Inc();
+  }
+  counters.commit_ns.Inc(elapsed_ns);
 }
 
 }  // namespace analognf::telemetry

@@ -192,6 +192,37 @@ TEST(GridTest, AnalogCellsReportLedgerEnergy) {
             -1.0);
 }
 
+// The three shoot-out entries of scripts/bench_budget.json, asserted on
+// the full default grid. They are deterministic, so unlike the timing
+// budgets they can fail on any machine: the analog AQM holds its delay
+// band at least as well as the best digital policy at the congested
+// load on both simulators, and stays under 0.08 nJ per decision
+// (the mean of its open- and closed-loop cell means, as
+// bench_aqm_shootout computes the gated figure).
+TEST(GridTest, DefaultGridPassesShootoutGates) {
+  const GridReport report = ExperimentGrid(GridSpec::Default()).Run();
+  EXPECT_GE(report.AdherenceMargin(GridSimulator::kOpenLoop, "1.4x"), 0.0);
+  EXPECT_GE(report.AdherenceMargin(GridSimulator::kClosedLoop, "1.4x"), 0.0);
+  double simulator_means = 0.0;
+  for (GridSimulator simulator :
+       {GridSimulator::kOpenLoop, GridSimulator::kClosedLoop}) {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const GridCellResult& cell : report.cells) {
+      if (cell.policy == AqmPolicyKind::kAnalog &&
+          cell.simulator == simulator) {
+        sum += cell.energy_nj_per_decision;
+        ++n;
+      }
+    }
+    ASSERT_GT(n, 0u) << ToString(simulator);
+    simulator_means += sum / static_cast<double>(n);
+  }
+  const double analog_nj = simulator_means / 2.0;
+  EXPECT_GT(analog_nj, 0.0);
+  EXPECT_LE(analog_nj, 0.08);
+}
+
 TEST(GridTest, PolicyKindNames) {
   EXPECT_STREQ(ToString(AqmPolicyKind::kAnalog), "analog");
   EXPECT_STREQ(ToString(AqmPolicyKind::kPi2), "pi2");
