@@ -13,13 +13,13 @@
 // single-rule commit latencies (< 50 us) via scripts/check_bench.py.
 #include "bench_util.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "analognf/common/clock.hpp"
 #include "analognf/common/rng.hpp"
 #include "analognf/common/simd.hpp"
 #include "analognf/core/pcam_array.hpp"
@@ -33,13 +33,6 @@ constexpr std::size_t kLpmRoutes = 1000000;
 constexpr std::size_t kTcamRules = 262144;
 constexpr std::size_t kPcamRows = 65536;
 constexpr std::size_t kTcamWidth = 32;
-
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // The headline tables are expensive to build; cache them across the
 // google-benchmark registrations and the JSON self-timing pass. Each
@@ -66,9 +59,9 @@ CachedLpm& LpmFixture() {
       cached.table->AddRoute(value, len,
                              static_cast<std::uint32_t>(i % 64));
     }
-    const std::uint64_t t0 = NowNs();
+    const std::uint64_t t0 = SteadyNowNs();
     cached.table->Commit();
-    cached.full_build_ns = static_cast<double>(NowNs() - t0);
+    cached.full_build_ns = static_cast<double>(SteadyNowNs() - t0);
   }
   return cached;
 }
@@ -92,9 +85,9 @@ CachedTcam& TcamFixture() {
            static_cast<std::uint32_t>(i),
            static_cast<std::int32_t>(rng.NextIndex(4))});
     }
-    const std::uint64_t t0 = NowNs();
+    const std::uint64_t t0 = SteadyNowNs();
     cached.table->Commit();
-    cached.full_build_ns = static_cast<double>(NowNs() - t0);
+    cached.full_build_ns = static_cast<double>(SteadyNowNs() - t0);
   }
   return cached;
 }
@@ -115,9 +108,9 @@ CachedPcam& PcamFixture() {
                             {core::PcamParams::MakeBand(center, 0.002, 0.01)},
                             static_cast<std::uint32_t>(i)});
     }
-    const std::uint64_t t0 = NowNs();
+    const std::uint64_t t0 = SteadyNowNs();
     cached.table->Commit();
-    cached.full_build_ns = static_cast<double>(NowNs() - t0);
+    cached.full_build_ns = static_cast<double>(SteadyNowNs() - t0);
   }
   return cached;
 }
@@ -210,11 +203,11 @@ double LpmLookupNs() {
   std::vector<std::optional<tcam::TcamSearchResult>> out;
   table.LookupBatch(addrs.data(), addrs.size(), out);  // warm-up
   constexpr std::size_t kReps = 8;
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = SteadyNowNs();
   for (std::size_t r = 0; r < kReps; ++r) {
     table.LookupBatch(addrs.data(), addrs.size(), out);
   }
-  return static_cast<double>(NowNs() - t0) /
+  return static_cast<double>(SteadyNowNs() - t0) /
          static_cast<double>(kReps * addrs.size());
 }
 
@@ -230,11 +223,11 @@ double TcamLookupNs() {
   std::vector<std::optional<tcam::TcamSearchResult>> out;
   table.SearchBatch(keys, out);  // warm-up
   constexpr std::size_t kReps = 4;
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = SteadyNowNs();
   for (std::size_t r = 0; r < kReps; ++r) {
     table.SearchBatch(keys, out);
   }
-  return static_cast<double>(NowNs() - t0) /
+  return static_cast<double>(SteadyNowNs() - t0) /
          static_cast<double>(kReps * keys.size());
 }
 
@@ -246,11 +239,11 @@ double PcamLookupNs() {
   }
   benchmark::DoNotOptimize(table.SearchBatchFlat(queries));  // warm-up
   constexpr std::size_t kReps = 4;
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = SteadyNowNs();
   for (std::size_t r = 0; r < kReps; ++r) {
     benchmark::DoNotOptimize(table.SearchBatchFlat(queries));
   }
-  return static_cast<double>(NowNs() - t0) /
+  return static_cast<double>(SteadyNowNs() - t0) /
          static_cast<double>(kReps * queries.size());
 }
 

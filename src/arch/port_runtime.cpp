@@ -1,10 +1,10 @@
 #include "analognf/arch/port_runtime.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "analognf/arch/controller.hpp"
+#include "analognf/common/clock.hpp"
 #include "analognf/telemetry/metrics.hpp"
 
 namespace {
@@ -12,13 +12,6 @@ namespace {
 // Queued mailbox items per port; Apply blocks when full (backpressure,
 // never drops).
 constexpr std::size_t kMailboxDepth = 8;
-
-std::uint64_t SteadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 

@@ -31,8 +31,9 @@
 //     count, delta vs full split, rows patched, last commit latency),
 //     surfaced through the `table.commit_ns` / `table.delta_rows` /
 //     `table.full_recompiles` telemetry meters. Every table times its
-//     commit on CommitClockNs() and writes both through one function,
-//     telemetry::RecordCommit (telemetry/metrics.hpp).
+//     commit on SteadyNowNs() (common/clock.hpp) and writes both
+//     through one function, telemetry::RecordCommit
+//     (telemetry/metrics.hpp).
 //
 // The log lives in the table (single mutator thread, never read by the
 // data plane); published snapshots stay immutable. See
@@ -40,7 +41,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -148,15 +148,6 @@ struct DeltaCommitPolicy {
     return p;
   }
 };
-
-// Monotonic nanoseconds: the clock every table's commit latency is read
-// from.
-inline std::uint64_t CommitClockNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Control-plane cost accounting, per table. Mutated only by Commit()
 // (single controller thread) through telemetry::RecordCommit; read by

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "analognf/common/clock.hpp"
+
 namespace analognf::core {
 
 PcamWord::PcamWord(const std::vector<PcamParams>& fields,
@@ -76,7 +78,7 @@ void PcamTable::Commit() {
     delta_.Clear();
     return;
   }
-  const std::uint64_t t0 = CommitClockNs();
+  const std::uint64_t t0 = SteadyNowNs();
   // Only the staged (dirty) rows refresh; whether that counts as a
   // delta commit or a full recompile is pure accounting. Structural
   // mutations (Age) and first-build commits touch every row.

@@ -5,13 +5,18 @@
 // analog (pCAM) match-action units. To exercise that path honestly we
 // build real packets: Ethernet II / IPv4 / {TCP, UDP} with network byte
 // order and a correct IPv4 header checksum, not structs pretending to be
-// wire format.
+// wire format. A Packet keeps a frame of up to 64 bytes inside itself and
+// a longer one in one heap block (see the class comment for why 64).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace analognf::net {
 
@@ -94,19 +99,91 @@ struct UdpHeader {
 
 // A packet is its bytes. Metadata the switch attaches in flight
 // (timestamps, queue ids) lives in arch/sim, not here.
+//
+// Storage rule: a frame of up to kInlineBytes (64, the minimum Ethernet
+// frame) lives inside the Packet; a longer frame owns one heap block of
+// exactly its size. Ingress batches are mostly minimum-size frames, so a
+// copied std::vector<Packet> of them is one allocation (the vector)
+// rather than one per frame, the parser reads frames that sit side by
+// side, and the port worker that retires a batch frees one block. The
+// threshold is a constant, not a tuning option: it covers every frame of
+// a 64 B stream and the 64 B share of IMIX, and a larger inline buffer
+// grows every queued packet.
 class Packet {
  public:
-  Packet() = default;
-  explicit Packet(std::vector<std::uint8_t> bytes)
-      : bytes_(std::move(bytes)) {}
+  static constexpr std::size_t kInlineBytes = 64;
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t>& bytes() { return bytes_; }
-  std::size_t size() const { return bytes_.size(); }
+  Packet() noexcept {}
+  // Copies `bytes`.
+  explicit Packet(std::span<const std::uint8_t> bytes) {
+    std::uint8_t* dst = Allocate(bytes.size());
+    if (!bytes.empty()) std::memcpy(dst, bytes.data(), bytes.size());
+  }
+  // A frame of `size` zero bytes, to be written in place through bytes().
+  explicit Packet(std::size_t size) { std::memset(Allocate(size), 0, size); }
+
+  Packet(const Packet& other) : Packet(other.bytes()) {}
+  Packet(Packet&& other) noexcept { Steal(other); }
+  Packet& operator=(const Packet& other) {
+    if (this != &other) *this = Packet(other);
+    return *this;
+  }
+  Packet& operator=(Packet&& other) noexcept {
+    if (this != &other) {
+      Release();
+      Steal(other);
+    }
+    return *this;
+  }
+  ~Packet() { Release(); }
+
+  const std::uint8_t* data() const { return on_heap() ? heap_ : inline_; }
+  std::size_t size() const { return size_; }
+  std::span<const std::uint8_t> bytes() const { return {data(), size_}; }
+  std::span<std::uint8_t> bytes() {
+    return {on_heap() ? heap_ : inline_, size_};
+  }
+
+  friend bool operator==(const Packet& a, const Packet& b) {
+    return std::ranges::equal(a.bytes(), b.bytes());
+  }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  bool on_heap() const { return size_ > kInlineBytes; }
+  // Gives this empty packet storage for `size` bytes and returns it.
+  std::uint8_t* Allocate(std::size_t size) {
+    if (size > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("net::Packet: frame exceeds 4 GiB");
+    }
+    std::uint8_t* storage = inline_;
+    if (size > kInlineBytes) storage = heap_ = new std::uint8_t[size];
+    size_ = static_cast<std::uint32_t>(size);
+    return storage;
+  }
+  void Release() noexcept {
+    if (on_heap()) delete[] heap_;
+    size_ = 0;
+  }
+  // Takes `other`'s storage (its heap block, or a copy of its inline
+  // bytes) and leaves it empty. Requires this packet to own no block.
+  void Steal(Packet& other) noexcept {
+    size_ = other.size_;
+    if (other.on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      std::memcpy(inline_, other.inline_, other.size_);
+    }
+    other.size_ = 0;
+  }
+
+  std::uint32_t size_ = 0;
+  union {
+    std::uint8_t inline_[kInlineBytes];
+    std::uint8_t* heap_;
+  };
 };
+static_assert(sizeof(Packet) == 72,
+              "net::Packet is a 4-byte size and a 64-byte inline frame");
 
 // Builds valid packets layer by layer. Usage:
 //   Packet p = PacketBuilder()

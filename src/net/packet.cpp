@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace analognf::net {
 namespace {
@@ -185,7 +186,7 @@ Packet PacketBuilder::Build() const {
   }
 
   out.insert(out.end(), payload_size_, payload_fill_);
-  return Packet(std::move(out));
+  return Packet(std::span<const std::uint8_t>(out));
 }
 
 std::uint32_t ParseIpv4(const std::string& dotted) {

@@ -74,14 +74,14 @@ FiveTuple ParsedPacket::Key() const {
 }
 
 ParsedPacket Parser::Parse(const Packet& packet) const {
-  return Parse(packet.bytes().data(), packet.size());
+  return Parse(packet.data(), packet.size());
 }
 
 void Parser::ParseBatch(const Packet* packets, std::size_t count,
                         std::vector<ParsedPacket>& out) const {
   out.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = Parse(packets[i].bytes().data(), packets[i].size());
+    out[i] = Parse(packets[i].data(), packets[i].size());
   }
 }
 

@@ -74,7 +74,7 @@ void PcapWriter::Write(double timestamp_s, const Packet& packet) {
   PutU32Le(out_, micros >= 1000000 ? 999999 : micros);
   PutU32Le(out_, incl_len);
   PutU32Le(out_, orig_len);
-  out_.write(reinterpret_cast<const char*>(packet.bytes().data()),
+  out_.write(reinterpret_cast<const char*>(packet.data()),
              static_cast<std::streamsize>(incl_len));
   ++frames_;
 }
@@ -104,13 +104,12 @@ std::vector<PcapRecord> ReadPcap(std::istream& in) {
     if (incl_len > snap_len || incl_len > kPcapMaxSnapLen) {
       throw std::runtime_error("pcap: frame length exceeds snap length");
     }
-    std::vector<std::uint8_t> bytes(incl_len);
-    in.read(reinterpret_cast<char*>(bytes.data()), incl_len);
-    if (!in) throw std::runtime_error("pcap: truncated frame body");
     PcapRecord record;
     record.timestamp_s =
         static_cast<double>(seconds) + static_cast<double>(micros) * 1e-6;
-    record.packet = Packet(std::move(bytes));
+    record.packet = Packet(std::size_t{incl_len});
+    in.read(reinterpret_cast<char*>(record.packet.bytes().data()), incl_len);
+    if (!in) throw std::runtime_error("pcap: truncated frame body");
     records.push_back(std::move(record));
   }
   return records;

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analognf/common/clock.hpp"
+
 namespace analognf::tcam {
 
 void TcamTechnology::Validate() const {
@@ -120,7 +122,7 @@ void TcamTable::CompactTombstones() {
 
 void TcamTable::Commit() {
   if (!NeedsCommit()) return;
-  const std::uint64_t t0 = CommitClockNs();
+  const std::uint64_t t0 = SteadyNowNs();
   const std::shared_ptr<const TcamTableSnapshot> prev = published_.Acquire();
   // Delta decision: patch the previous snapshot's compiled core when the
   // staged set (plus the overlay it already carries) is small against
@@ -373,7 +375,7 @@ std::shared_ptr<LpmTableSnapshot> LpmTable::BuildSnapshot(
 
 void LpmTable::Commit() {
   if (!dirty_) return;
-  const std::uint64_t t0 = CommitClockNs();
+  const std::uint64_t t0 = SteadyNowNs();
   const std::shared_ptr<const LpmTableSnapshot> prev = published_.Acquire();
   const std::size_t live = table_.size();
   // Deltas only make sense flat-to-flat: trie commits rebuild by design

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "analognf/common/clock.hpp"
 #include "analognf/common/table_delta.hpp"
 
 namespace analognf::telemetry {
@@ -355,7 +356,7 @@ inline TableCommitCounters MakeTableCommitCounters(
 }
 
 // Accounts one published commit that began at `start_ns`
-// (CommitClockNs()): its wall time up to now, and whether it took the
+// (SteadyNowNs()): its wall time up to now, and whether it took the
 // delta path with `delta_rows` rows patched or rebuilt from scratch.
 // Writes the table's own `stats` and the registry-wide `counters`; the
 // one commit-accounting path of TcamTable, LpmTable and PcamTable.
@@ -363,7 +364,7 @@ inline void RecordCommit(TableCommitStats& stats,
                          const TableCommitCounters& counters,
                          std::uint64_t start_ns, bool delta,
                          std::size_t delta_rows) {
-  const std::uint64_t elapsed_ns = CommitClockNs() - start_ns;
+  const std::uint64_t elapsed_ns = SteadyNowNs() - start_ns;
   ++stats.commits;
   stats.last_commit_ns = elapsed_ns;
   stats.last_was_delta = delta;

@@ -5,8 +5,8 @@
 //                 clocks the stream, a ZipfSampler picks which flow of
 //                 the FlowPopulation sends (heavy-tailed popularity),
 //                 net::SamplePacketSize picks the frame length, and
-//                 SynthesizeFrame emits the byte-accurate packet. Never
-//                 exhausts.
+//                 SynthesizeFrame writes the byte-accurate frame straight
+//                 into the appended packet's storage. Never exhausts.
 //   * Replay    — re-emits a recorded Trace. Because synthesis is a
 //                 pure function of (population, flow, frame_bytes), the
 //                 replayed packets are byte-identical to the live run
@@ -68,7 +68,6 @@ class TrafficSource {
   Mode mode_;
   std::uint64_t emitted_ = 0;
   Trace* record_ = nullptr;
-  std::vector<std::uint8_t> frame_;  // synthesis scratch, reused
 
   // kLive
   WorkloadConfig config_{};

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analognf/net/generator.hpp"
@@ -89,16 +90,19 @@ inline constexpr std::uint32_t kMinFrameBytes =
     net::EthernetHeader::kSize + net::Ipv4Header::kSize +
     net::UdpHeader::kSize;
 
-// Writes a byte-accurate Ethernet/IPv4/{UDP,TCP} frame of exactly
-// `frame_bytes` (clamped up to the tuple's minimum) for `tuple` into
-// `out` (resized; storage reused across calls). The bytes parse cleanly
-// through net::Parser with checksum verification and reproduce the
-// tuple's 5-tuple, DSCP and ECN bit-exactly — the property the
-// differential test pins, and what makes trace replay byte-identical.
-void SynthesizeFrame(const FlowTuple& tuple, std::uint32_t frame_bytes,
-                     std::vector<std::uint8_t>& out);
+// Length of the frame synthesized for `tuple` at a requested
+// `frame_bytes`: clamped up to the tuple's Ethernet/IPv4/L4 headers.
+std::uint32_t FrameBytes(const FlowTuple& tuple, std::uint32_t frame_bytes);
 
-// Convenience wrapper returning an owning net::Packet.
+// Writes a byte-accurate Ethernet/IPv4/{UDP,TCP} frame for `tuple` that
+// fills `out`, sized by FrameBytes() (throws std::invalid_argument if
+// `out` is shorter than the headers). The bytes parse cleanly through
+// net::Parser with checksum verification and reproduce the tuple's
+// 5-tuple, DSCP and ECN bit-exactly — the property the differential
+// test pins, and what makes trace replay byte-identical.
+void SynthesizeFrame(const FlowTuple& tuple, std::span<std::uint8_t> out);
+
+// The frame of FrameBytes(tuple, frame_bytes) bytes as a net::Packet.
 net::Packet SynthesizePacket(const FlowTuple& tuple,
                              std::uint32_t frame_bytes);
 

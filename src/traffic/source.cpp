@@ -74,8 +74,10 @@ std::size_t TrafficSource::NextBatch(std::size_t max_packets,
       ++emitted_;
       continue;
     }
-    SynthesizeFrame(population_->Tuple(flow), frame_bytes, frame_);
-    packets.emplace_back(frame_);
+    const FlowTuple tuple = population_->Tuple(flow);
+    net::Packet& packet =
+        packets.emplace_back(std::size_t{FrameBytes(tuple, frame_bytes)});
+    SynthesizeFrame(tuple, packet.bytes());
     now_s = arrival;
     ++emitted_;
     if (record_ != nullptr) {

@@ -1,5 +1,6 @@
 #include "analognf/traffic/workload.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace analognf::traffic {
@@ -21,6 +22,14 @@ void PutU32At(std::uint8_t* p, std::uint32_t v) {
 // per-flow trait fractions are unbiased.
 double UnitFromHash(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// Ethernet + IPv4 + the tuple's L4 header: its shortest frame.
+std::uint32_t HeaderBytes(const FlowTuple& tuple) {
+  const std::uint32_t l4_size = tuple.protocol == net::kIpProtoTcp
+                                    ? net::TcpHeader::kSize
+                                    : net::UdpHeader::kSize;
+  return net::EthernetHeader::kSize + net::Ipv4Header::kSize + l4_size;
 }
 
 }  // namespace
@@ -87,17 +96,21 @@ void WorkloadConfig::Validate() const {
 
 // ------------------------------------------------------------ synthesis
 
-void SynthesizeFrame(const FlowTuple& tuple, std::uint32_t frame_bytes,
-                     std::vector<std::uint8_t>& out) {
+std::uint32_t FrameBytes(const FlowTuple& tuple, std::uint32_t frame_bytes) {
+  return std::max(frame_bytes, HeaderBytes(tuple));
+}
+
+void SynthesizeFrame(const FlowTuple& tuple, std::span<std::uint8_t> out) {
   const bool tcp = tuple.protocol == net::kIpProtoTcp;
   const std::uint32_t l4_size =
       tcp ? net::TcpHeader::kSize : net::UdpHeader::kSize;
-  const std::uint32_t min_bytes =
-      net::EthernetHeader::kSize + net::Ipv4Header::kSize + l4_size;
-  if (frame_bytes < min_bytes) frame_bytes = min_bytes;
-  const std::uint32_t payload = frame_bytes - min_bytes;
+  const std::uint32_t min_bytes = HeaderBytes(tuple);
+  if (out.size() < min_bytes) {
+    throw std::invalid_argument("SynthesizeFrame: frame shorter than headers");
+  }
+  const auto payload = static_cast<std::uint32_t>(out.size() - min_bytes);
 
-  out.assign(frame_bytes, 0xab);  // payload fill matches PacketBuilder
+  std::fill(out.begin(), out.end(), 0xab);  // payload fill as PacketBuilder
   std::uint8_t* p = out.data();
 
   // Ethernet II. Locally-administered MACs derived from the IPs keep
@@ -148,9 +161,9 @@ void SynthesizeFrame(const FlowTuple& tuple, std::uint32_t frame_bytes,
 
 net::Packet SynthesizePacket(const FlowTuple& tuple,
                              std::uint32_t frame_bytes) {
-  std::vector<std::uint8_t> bytes;
-  SynthesizeFrame(tuple, frame_bytes, bytes);
-  return net::Packet(std::move(bytes));
+  net::Packet packet(std::size_t{FrameBytes(tuple, frame_bytes)});
+  SynthesizeFrame(tuple, packet.bytes());
+  return packet;
 }
 
 }  // namespace analognf::traffic

@@ -1,7 +1,7 @@
 // Tests for the analog-stage fast path: the SoA flow table and batched
 // flow tracker, the compiled WRR schedule (including runtime weight
-// changes), and the steady-state allocation guarantee of the inject +
-// drain hot loop.
+// changes), and the steady-state allocation guarantees of the inject +
+// drain hot loop and of the ingress batches that feed it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "analognf/cognitive/classifier.hpp"
 #include "analognf/common/flow_table.hpp"
 #include "analognf/net/generator.hpp"
+#include "analognf/traffic/source.hpp"
 
 // ----------------------------------------------------- allocation probe
 //
@@ -337,6 +338,60 @@ TEST(FastPathAllocationTest, InjectDrainLoopIsAllocationFree) {
   EXPECT_EQ(verdict_total, kBatch * (8 + kReps));
   // Exactly one allocation per round: the returned verdict vector.
   EXPECT_LE(alloc_probe::count, kReps);
+}
+
+// A live source of fixed 64 B frames: the bare forwarding workload's
+// traffic.
+traffic::TrafficSource MinimumFrameSource() {
+  traffic::WorkloadConfig w;
+  w.sizes = traffic::WorkloadConfig::Sizes::kFixed;
+  w.fixed_size_bytes = 64;
+  return traffic::TrafficSource::Live(w);
+}
+
+// Frames of up to 64 B live inside net::Packet, so copying a batch of
+// them allocates only the vector; a 65 B frame adds its own block.
+TEST(FastPathAllocationTest, CopyingMinimumFrameBatchIsOneAllocation) {
+  traffic::TrafficSource source = MinimumFrameSource();
+  std::vector<net::Packet> batch;
+  double now_s = 0.0;
+  ASSERT_EQ(source.NextBatch(64, batch, now_s), 64u);
+  auto copy_allocations = [&batch] {
+    alloc_probe::count = 0;
+    alloc_probe::counting = true;
+    const std::vector<net::Packet> copy = batch;
+    alloc_probe::counting = false;
+    EXPECT_EQ(copy, batch);
+    return alloc_probe::count;
+  };
+  EXPECT_EQ(copy_allocations(), 1u);
+
+  std::vector<std::uint8_t> longer(batch[17].bytes().begin(),
+                                   batch[17].bytes().end());
+  longer.push_back(0xab);
+  batch[17] = net::Packet(longer);
+  ASSERT_EQ(batch[17].size(), 65u);
+  EXPECT_EQ(copy_allocations(), 2u);
+}
+
+// Synthesis writes each frame straight into the packet it appends: once
+// the caller's vector has capacity, a batch of 64 B frames allocates
+// nothing.
+TEST(FastPathAllocationTest, SynthesizingMinimumFrameBatchAllocatesNothing) {
+  traffic::TrafficSource source = MinimumFrameSource();
+  std::vector<net::Packet> batch;
+  batch.reserve(64);
+  double now_s = 0.0;
+  ASSERT_EQ(source.NextBatch(64, batch, now_s), 64u);  // warm-up
+  batch.clear();
+
+  alloc_probe::count = 0;
+  alloc_probe::counting = true;
+  const std::size_t appended = source.NextBatch(64, batch, now_s);
+  alloc_probe::counting = false;
+  EXPECT_EQ(appended, 64u);
+  EXPECT_EQ(alloc_probe::count, 0u);
+  for (const net::Packet& packet : batch) EXPECT_EQ(packet.size(), 64u);
 }
 
 }  // namespace

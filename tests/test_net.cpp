@@ -2,6 +2,7 @@
 // traffic generation, and the sojourn-tracking queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -9,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analognf/common/stats.hpp"
 #include "analognf/net/generator.hpp"
@@ -25,6 +27,16 @@ EthernetHeader TestEth() {
   eth.dst = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
   eth.src = {0x02, 0x00, 0x00, 0x00, 0x00, 0x02};
   return eth;
+}
+
+// `size` bytes that differ from position to position and from `seed` to
+// `seed`.
+std::vector<std::uint8_t> Pattern(std::size_t size, std::uint8_t seed) {
+  std::vector<std::uint8_t> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(seed * 31 + i * 7);
+  }
+  return bytes;
 }
 
 Ipv4Header TestIp(std::uint8_t proto) {
@@ -167,6 +179,73 @@ TEST(PacketBuilderTest, EthernetOnlyIsAllowed) {
   EXPECT_EQ(p.size(), 14u);
   const ParsedPacket parsed = Parser().Parse(p);
   EXPECT_EQ(parsed.error, ParseError::kUnsupportedEtherType);
+}
+
+// ---------------------------------------------------- packet storage
+
+// Frames either side of the 64-byte inline limit keep their bytes
+// through every copy and move, in each direction between inline and heap
+// storage, and a moved-from packet is empty.
+TEST(PacketStorageTest, CopyAndMoveAcrossInlineLimit) {
+  const std::size_t sizes[] = {0, 1, 64, 65, 1500};
+  for (const std::size_t from : sizes) {
+    SCOPED_TRACE(from);
+    const std::vector<std::uint8_t> bytes = Pattern(from, 1);
+    const Packet source(bytes);
+    ASSERT_EQ(source.size(), from);
+    EXPECT_TRUE(std::ranges::equal(source.bytes(), bytes));
+
+    Packet copy(source);
+    EXPECT_EQ(copy, source);
+    if (from > 0) {
+      copy.bytes()[from - 1] ^= 0xff;  // a deep copy: source unchanged
+      EXPECT_NE(copy, source);
+      EXPECT_TRUE(std::ranges::equal(source.bytes(), bytes));
+    }
+
+    Packet donor(source);
+    const Packet moved(std::move(donor));
+    EXPECT_EQ(moved, source);
+    EXPECT_EQ(donor.size(), 0u);
+    EXPECT_TRUE(donor.bytes().empty());
+    donor = source;  // a moved-from packet is reusable
+    EXPECT_EQ(donor, source);
+
+    for (const std::size_t to : sizes) {
+      SCOPED_TRACE(to);
+      Packet copied_over(Pattern(to, 2));
+      copied_over = source;
+      EXPECT_EQ(copied_over, source);
+
+      Packet moved_over(Pattern(to, 3));
+      Packet giver(source);
+      moved_over = std::move(giver);
+      EXPECT_EQ(moved_over, source);
+      EXPECT_EQ(giver.size(), 0u);
+    }
+
+    Packet self(source);
+    Packet& alias = self;
+    self = alias;
+    EXPECT_EQ(self, source);
+    self = std::move(alias);
+    EXPECT_EQ(self, source);
+  }
+}
+
+TEST(PacketStorageTest, SizedPacketIsZeroFilledAndWritable) {
+  for (const std::size_t size : {0u, 64u, 65u}) {
+    Packet packet(std::size_t{size});
+    ASSERT_EQ(packet.size(), size);
+    EXPECT_TRUE(std::ranges::all_of(packet.bytes(),
+                                    [](std::uint8_t b) { return b == 0; }));
+    const std::vector<std::uint8_t> bytes = Pattern(size, 4);
+    std::ranges::copy(bytes, packet.bytes().begin());
+    EXPECT_EQ(packet, Packet(bytes));
+  }
+  EXPECT_NE(Packet(Pattern(64, 5)), Packet(Pattern(65, 5)));
+  // The length is 32 bits; a longer frame is refused before allocating.
+  EXPECT_THROW(Packet(std::size_t{1} << 32), std::length_error);
 }
 
 // ------------------------------------------------------ parse errors
@@ -1020,11 +1099,23 @@ TEST(PcapTest, RoundTripsFrames) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_NEAR(records[0].timestamp_s, 1.000001, 1e-6);
   EXPECT_NEAR(records[1].timestamp_s, 2.5, 1e-6);
-  EXPECT_EQ(records[0].packet.bytes(), a.bytes());
-  EXPECT_EQ(records[1].packet.bytes(), b.bytes());
+  EXPECT_EQ(records[0].packet, a);
+  EXPECT_EQ(records[1].packet, b);
   // The replayed frames parse identically.
   EXPECT_TRUE(Parser().Parse(records[0].packet).ok());
   EXPECT_TRUE(Parser().Parse(records[1].packet).udp.has_value() == false);
+
+  // The longest inline frame and the shortest heap one.
+  std::stringstream edge;
+  PcapWriter edge_writer(edge);
+  const Packet inline_frame(Pattern(64, 6));
+  const Packet heap_frame(Pattern(65, 7));
+  edge_writer.Write(0.0, inline_frame);
+  edge_writer.Write(0.0, heap_frame);
+  const auto edge_records = ReadPcap(edge);
+  ASSERT_EQ(edge_records.size(), 2u);
+  EXPECT_EQ(edge_records[0].packet, inline_frame);
+  EXPECT_EQ(edge_records[1].packet, heap_frame);
 }
 
 TEST(PcapTest, GlobalHeaderIsStandard) {

@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -313,13 +314,11 @@ TEST(SynthesizeFrameTest, ParsesBackToTheTuple) {
   config.flows = 512;
   traffic::FlowPopulation pop(config);
   net::Parser parser;  // checksum verification on
-  std::vector<std::uint8_t> bytes;
   for (std::uint64_t f = 0; f < config.flows; ++f) {
     const traffic::FlowTuple t = pop.Tuple(f);
     for (std::uint32_t size : {0u, 64u, 576u, 1500u}) {
-      traffic::SynthesizeFrame(t, size, bytes);
-      const net::ParsedPacket parsed = parser.Parse(bytes.data(),
-                                                    bytes.size());
+      const net::Packet packet = traffic::SynthesizePacket(t, size);
+      const net::ParsedPacket parsed = parser.Parse(packet);
       ASSERT_TRUE(parsed.ok()) << net::ToString(parsed.error);
       ASSERT_TRUE(parsed.ipv4.has_value());
       EXPECT_EQ(parsed.ipv4->src_ip, t.src_ip);
@@ -336,7 +335,8 @@ TEST(SynthesizeFrameTest, ParsesBackToTheTuple) {
                                    : net::UdpHeader::kSize;
       const std::uint32_t min_bytes =
           net::EthernetHeader::kSize + net::Ipv4Header::kSize + l4;
-      EXPECT_EQ(bytes.size(), std::max(size, min_bytes));
+      EXPECT_EQ(packet.size(), std::max(size, min_bytes));
+      EXPECT_EQ(traffic::FrameBytes(t, size), packet.size());
     }
   }
 }
@@ -344,10 +344,12 @@ TEST(SynthesizeFrameTest, ParsesBackToTheTuple) {
 TEST(SynthesizeFrameTest, DeterministicBytes) {
   traffic::FlowPopulation pop(traffic::PopulationConfig{});
   const traffic::FlowTuple t = pop.Tuple(77);
-  std::vector<std::uint8_t> a, b;
-  traffic::SynthesizeFrame(t, 256, a);
-  traffic::SynthesizeFrame(t, 256, b);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(traffic::SynthesizePacket(t, 256),
+            traffic::SynthesizePacket(t, 256));
+  // A buffer shorter than the headers is refused, not overrun.
+  std::uint8_t short_frame[traffic::kMinFrameBytes - 1] = {};
+  EXPECT_THROW(traffic::SynthesizeFrame(t, short_frame),
+               std::invalid_argument);
 }
 
 // -------------------------------------------------------- arrivals
@@ -427,7 +429,7 @@ std::uint64_t LiveStreamDigest(traffic::WorkloadConfig::Sizes sizes) {
     packets.clear();
     double now_s = 0.0;
     EXPECT_EQ(source.NextBatch(1, packets, now_s), 1u);
-    const std::vector<std::uint8_t>& bytes = packets.front().bytes();
+    const std::span<const std::uint8_t> bytes = packets.front().bytes();
     digest.Add(bytes.size());
     digest.AddBytes(bytes.data(), bytes.size());
     digest.Add(now_s);
@@ -549,7 +551,7 @@ TEST(TrafficSourceTest, RecordThenReplayIsByteIdentical) {
 
   ASSERT_EQ(replayed.size(), live_packets.size());
   for (std::size_t i = 0; i < replayed.size(); ++i) {
-    EXPECT_EQ(replayed[i].bytes(), live_packets[i].bytes()) << "packet " << i;
+    EXPECT_EQ(replayed[i], live_packets[i]) << "packet " << i;
   }
 }
 
@@ -577,7 +579,7 @@ TEST(TrafficSourceTest, PcapRoundTripReplaysVerbatim) {
   EXPECT_DOUBLE_EQ(now_s, 0.016);
   ASSERT_EQ(packets.size(), 16u);
   for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(packets[i].bytes(), originals[i].bytes());
+    EXPECT_EQ(packets[i], originals[i]);
   }
   EXPECT_EQ(src.NextBatch(64, packets, now_s), 0u);
 }
